@@ -9,15 +9,20 @@
 //!   fixpoint — sequential, replicated-parallel, and sharded-parallel,
 //!   each in both evaluation modes (the parallel side honors
 //!   `CFA_STORE_BACKEND`, so the CI matrix gates each backend in
-//!   isolation).
+//!   isolation);
+//! * the agreed reports on the random concurrent family match a
+//!   committed artifact (`CFA_BLESS=1` regenerates it), because engine
+//!   agreement alone cannot see a regression in the detector they all
+//!   share.
 
-use cfa::analysis::engine::{run_fixpoint_with, EngineLimits, EvalMode};
-use cfa::analysis::flatcfa::{FlatCfaMachine, FlatPolicy};
+use cfa::analysis::engine::{run_fixpoint_with, EngineLimits, EvalMode, FixpointResult};
+use cfa::analysis::flatcfa::{AddrM, FlatCfaMachine, FlatPolicy, MConfig, ValM};
 use cfa::analysis::kcfa::KCfaMachine;
-use cfa::analysis::races::{races_kcfa, races_mcfa, RaceReport};
+use cfa::analysis::races::{races_kcfa, races_mcfa, races_poly_kcfa, RaceReport};
 use cfa::analysis::{run_fixpoint_parallel_on, Replicated, Sharded};
 use cfa_testsupport::{
-    backend_selection, golden_racy_programs, golden_synchronized_programs, PAR_THREADS,
+    backend_selection, check_golden, golden_racy_programs, golden_synchronized_programs,
+    PAR_THREADS,
 };
 
 /// Which evaluation modes to sweep. `CFA_EVAL_MODE` narrows the run to
@@ -65,16 +70,22 @@ fn kcfa_reports(src: &str, k: usize) -> Vec<(String, RaceReport)> {
     out
 }
 
-/// Same engine sweep for the m-CFA machine.
-fn mcfa_reports(src: &str, m: usize) -> Vec<(String, RaceReport)> {
+/// Same engine sweep for the flat-environment machine: m-CFA under
+/// [`FlatPolicy::TopMFrames`], poly k-CFA under
+/// [`FlatPolicy::LastKCalls`].
+fn flat_reports(src: &str, bound: usize, policy: FlatPolicy) -> Vec<(String, RaceReport)> {
     let p = cfa::compile(src).expect("golden program compiles");
     let backends = backend_selection();
-    let mk = || FlatCfaMachine::new(&p, m, FlatPolicy::TopMFrames);
+    let mk = || FlatCfaMachine::new(&p, bound, policy);
+    let detect = |r: &FixpointResult<MConfig, AddrM, ValM>| match policy {
+        FlatPolicy::TopMFrames => races_mcfa(&p, bound, r),
+        FlatPolicy::LastKCalls => races_poly_kcfa(&p, bound, r),
+    };
     let mut out = Vec::new();
     for mode in selected_modes() {
         let r = run_fixpoint_with(&mut mk(), EngineLimits::default(), mode);
         assert!(r.status.is_complete(), "sequential {mode:?} incomplete");
-        out.push((format!("sequential {mode:?}"), races_mcfa(&p, m, &r)));
+        out.push((format!("sequential {mode:?}"), detect(&r)));
         if backends.replicated {
             let r = run_fixpoint_parallel_on::<Replicated, _>(
                 &mut mk(),
@@ -83,7 +94,7 @@ fn mcfa_reports(src: &str, m: usize) -> Vec<(String, RaceReport)> {
                 mode,
             );
             assert!(r.status.is_complete(), "replicated {mode:?} incomplete");
-            out.push((format!("replicated {mode:?}"), races_mcfa(&p, m, &r)));
+            out.push((format!("replicated {mode:?}"), detect(&r)));
         }
         if backends.sharded {
             let r = run_fixpoint_parallel_on::<Sharded, _>(
@@ -93,10 +104,15 @@ fn mcfa_reports(src: &str, m: usize) -> Vec<(String, RaceReport)> {
                 mode,
             );
             assert!(r.status.is_complete(), "sharded {mode:?} incomplete");
-            out.push((format!("sharded {mode:?}"), races_mcfa(&p, m, &r)));
+            out.push((format!("sharded {mode:?}"), detect(&r)));
         }
     }
     out
+}
+
+/// The m-CFA engine sweep.
+fn mcfa_reports(src: &str, m: usize) -> Vec<(String, RaceReport)> {
+    flat_reports(src, m, FlatPolicy::TopMFrames)
 }
 
 /// Asserts all engine-labeled reports agree, returning the canonical one.
@@ -154,8 +170,22 @@ fn synchronized_programs_stay_silent_everywhere() {
 fn random_concurrent_reports_are_engine_independent() {
     // The random family has no expected race count, but whatever the
     // detector says must not depend on which engine ran the fixpoint.
-    for seed in 0..8u64 {
+    // Every engine feeds the same detector, so agreement alone cannot
+    // catch a detector regression: the agreed reports are also pinned,
+    // one line per seed and analysis.
+    let mut pinned = String::new();
+    for seed in 0..16u64 {
         let src = cfa_testsupport::random_concurrent_scheme_program(seed, 25);
-        assert_engines_agree_on_report(&format!("seed {seed}"), kcfa_reports(&src, 1));
+        let name = format!("seed {seed}");
+        for reports in [
+            kcfa_reports(&src, 0),
+            kcfa_reports(&src, 1),
+            mcfa_reports(&src, 1),
+            flat_reports(&src, 1, FlatPolicy::LastKCalls),
+        ] {
+            let report = assert_engines_agree_on_report(&name, reports);
+            pinned.push_str(&format!("{name} {}\n", report.render_json()));
+        }
     }
+    check_golden("races/random-concurrent.jsonl", &pinned);
 }
