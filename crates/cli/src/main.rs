@@ -316,34 +316,28 @@ fn cmd_races(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (report, status) = match analysis {
+    // A truncated fixpoint would silently under-report races; make the
+    // early stop the outcome, checked before the detector runs, instead
+    // of computing a partial report only to discard it.
+    let report = match analysis {
         Analysis::KCfa { k } => {
             let r = cfa_core::analyze_kcfa(&program, k, run_limits());
-            (
-                cfa_core::races_kcfa(&program, k, &r.fixpoint),
-                r.metrics.status,
-            )
+            check_status(&r.metrics.status).map(|()| cfa_core::races_kcfa(&program, k, &r.fixpoint))
         }
         Analysis::MCfa { m } => {
             let r = cfa_core::analyze_mcfa(&program, m, run_limits());
-            (
-                cfa_core::races_mcfa(&program, m, &r.fixpoint),
-                r.metrics.status,
-            )
+            check_status(&r.metrics.status).map(|()| cfa_core::races_mcfa(&program, m, &r.fixpoint))
         }
         Analysis::PolyKCfa { k } => {
             let r = cfa_core::analyze_poly_kcfa(&program, k, run_limits());
-            (
-                cfa_core::races_poly_kcfa(&program, k, &r.fixpoint),
-                r.metrics.status,
-            )
+            check_status(&r.metrics.status)
+                .map(|()| cfa_core::races_poly_kcfa(&program, k, &r.fixpoint))
         }
     };
-    // A truncated fixpoint would silently under-report races; make the
-    // early stop the outcome instead of printing a partial report.
-    if let Err(code) = check_status(&status) {
-        return code;
-    }
+    let report = match report {
+        Ok(report) => report,
+        Err(code) => return code,
+    };
     if json {
         println!("{}", report.render_json());
     } else {

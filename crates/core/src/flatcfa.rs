@@ -614,9 +614,8 @@ impl<'p> crate::parallel::ParallelMachine for FlatCfaMachine<'p> {
 // ---------------------------------------------------------------------
 
 impl<'p> FlatCfaMachine<'p> {
-    /// The original value-level `Ê`, kept for [`ReferenceMachine`] and
-    /// reused by the race detector's post-fixpoint fact extraction.
-    pub(crate) fn eval_ref(
+    /// The original value-level `Ê`, kept for [`ReferenceMachine`].
+    fn eval_ref(
         &self,
         e: &AExp,
         env: &CallString,

@@ -2,20 +2,30 @@
 //! client analysis built on the abstract-thread domain.
 //!
 //! After one of the thread-aware analyses ([`crate::kcfa`] or
-//! [`crate::flatcfa`]) reaches its fixpoint, this module re-examines the
-//! saturated configuration graph and reports pairs of atom-cell accesses
+//! [`crate::flatcfa`]) reaches its fixpoint, this module reads the
+//! saturated configurations and reports pairs of atom-cell accesses
 //! that **may happen in parallel** without ordering:
 //!
-//! 1. **Thread graph.** Every reached configuration becomes a node,
-//!    tagged with its abstract thread id. Successor edges are recovered
-//!    by re-stepping each configuration with the value-level
-//!    [`ReferenceMachine`] against the final store (at saturation this
-//!    reproduces exactly the engine's edges; the differential suite
-//!    checks that equivalence). Spawn nodes record the child thread they
-//!    create; join nodes record the thread they *must* wait for (when
-//!    the handle flow is a singleton thread id); primitive calls on
-//!    atoms record `(cell, access-kind)` facts.
-//! 2. **Must-joined dataflow.** A forward analysis computes, for every
+//! 1. **Node facts.** Every reached configuration becomes a node,
+//!    tagged with its abstract thread id and call site. Spawn nodes
+//!    record the child thread they create; join nodes record the thread
+//!    they *must* wait for (when the handle flow is a singleton thread
+//!    id); primitive calls on atoms record `(cell, access-kind)` facts.
+//!    In CPS a thread handle or an atom reaches an atomic expression
+//!    only through a variable, so each fact is one read-only lookup of
+//!    that variable's address in the interned fixpoint store: nothing
+//!    is re-stepped and the store is not copied.
+//! 2. **Candidate pairs.** Two accesses to the same abstract cell from
+//!    different abstract threads conflict if at least one writes and
+//!    they are not both `cas!` (compare-and-swap is the synchronized
+//!    update). Without a candidate — every single-threaded program —
+//!    the report is final here, and steps 3–5 never run.
+//! 3. **Thread graph.** Successor edges are recovered by re-stepping
+//!    each configuration with the value-level [`ReferenceMachine`]
+//!    against a copy of the final store (at saturation this reproduces
+//!    exactly the engine's edges; the differential suite checks that
+//!    equivalence).
+//! 4. **Must-joined dataflow.** A forward analysis computes, for every
 //!    node, the set of threads that have certainly completed on *all*
 //!    paths reaching it (gen at joins, kill at re-spawns, intersection
 //!    at merges). A join generates only when the joined family provably
@@ -29,15 +39,13 @@
 //!    the child, so a child inherits the orderings its parent
 //!    established — this is what orders sequential `spawn`/`join`
 //!    sibling chains.
-//! 3. **Spawn ordering.** An access `a` is ordered before every action
+//! 5. **Spawn ordering.** An access `a` is ordered before every action
 //!    of thread `U` if, for each spawn site `s` of `U`, `a` can only
 //!    execute before `s` fires (`a →* s` and not `s →* a` in the
 //!    graph). This orders main-thread initialization against later
 //!    workers.
-//! 4. **Pair enumeration.** Two accesses to the same abstract cell from
-//!    different abstract threads race if at least one writes, they are
-//!    not both `cas!` (compare-and-swap is the synchronized update), and
-//!    neither ordering argument applies.
+//!
+//! A candidate pair races unless step 4 or step 5 orders it.
 //!
 //! The detector is *sound relative to the fixpoint*: with a completed
 //! run, every concrete race on an atom cell is covered by a reported
@@ -61,9 +69,11 @@
 //! `cas!`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::Hash;
 
 use cfa_concrete::base::Slot;
 use cfa_syntax::cps::{AExp, CallId, CallKind, CpsProgram, Label};
+use cfa_syntax::intern::Symbol;
 
 use crate::domain::{AVal, CallString};
 use crate::engine::FixpointResult;
@@ -71,6 +81,7 @@ use crate::flatcfa::{AddrM, FlatCfaMachine, FlatPolicy, MConfig, ValM};
 use crate::kcfa::{AddrK, KCfaMachine, KConfig, ValK};
 use crate::prim::{classify, PrimSpec};
 use crate::reference::{RefStore, RefTrackedStore, ReferenceMachine};
+use crate::store::{AbsStore, Flow};
 
 /// How a primitive touches an atom cell.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -122,18 +133,18 @@ enum NodeKind {
     Other,
 }
 
-/// One saturated configuration, with the facts extracted from it.
-struct Node {
-    tid: CallString,
+/// One saturated configuration, with the facts extracted from it. The
+/// thread id is borrowed from the configuration.
+struct Node<'f> {
+    tid: &'f CallString,
     site: Label,
     kind: NodeKind,
 }
 
-/// The machine-independent view of the saturated configuration graph.
-struct ThreadGraph {
-    nodes: Vec<Node>,
+/// The saturated configuration graph over the nodes of step 1.
+struct ThreadGraph<'n, 'f> {
+    nodes: &'n [Node<'f>],
     succs: Vec<Vec<usize>>,
-    tids: BTreeSet<CallString>,
     /// The initial configuration's node, when it is among the reached
     /// configs. `None` means the config set and the machine disagree
     /// (e.g. a fixpoint computed with different parameters was passed
@@ -143,22 +154,19 @@ struct ThreadGraph {
 }
 
 /// What the detector needs from a machine beyond [`ReferenceMachine`]:
-/// access to thread ids, the value-level evaluator, and the projections
-/// from machine values/addresses onto the machine-independent facts.
-trait ThreadedMachine: ReferenceMachine {
+/// access to thread ids, variable addresses, and the projections from
+/// machine values/addresses onto the machine-independent facts. Values
+/// are hashable because the fixpoint store interns them.
+trait ThreadedMachine: ReferenceMachine<Val: Hash> {
     /// The abstract thread id of a configuration.
     fn tid(config: &Self::Config) -> &CallString;
     /// The call site a configuration is about to execute.
     fn call(config: &Self::Config) -> CallId;
     /// The spawn-string bound (abstract thread-pool size).
     fn spawn_bound(&self) -> usize;
-    /// Value-level atomic-expression evaluation in `config`'s environment.
-    fn eval(
-        &self,
-        e: &AExp,
-        config: &Self::Config,
-        store: &mut RefTrackedStore<'_, Self::Addr, Self::Val>,
-    ) -> BTreeSet<Self::Val>;
+    /// The store address variable `v` is bound at in `config`'s
+    /// environment.
+    fn var_addr(config: &Self::Config, v: Symbol) -> Option<Self::Addr>;
     /// Splits an address into its slot and context components.
     fn addr_parts(addr: &Self::Addr) -> (&Slot, &CallString);
     /// Projects a thread handle to its result address, if `v` is one.
@@ -180,13 +188,8 @@ impl ThreadedMachine for KCfaMachine<'_> {
         self.tid_bound()
     }
 
-    fn eval(
-        &self,
-        e: &AExp,
-        config: &KConfig,
-        store: &mut RefTrackedStore<'_, AddrK, ValK>,
-    ) -> BTreeSet<ValK> {
-        self.eval_ref(e, &config.benv, store)
+    fn var_addr(config: &KConfig, v: Symbol) -> Option<AddrK> {
+        config.benv.get(v).cloned()
     }
 
     fn addr_parts(addr: &AddrK) -> (&Slot, &CallString) {
@@ -221,13 +224,11 @@ impl ThreadedMachine for FlatCfaMachine<'_> {
         self.tid_bound()
     }
 
-    fn eval(
-        &self,
-        e: &AExp,
-        config: &MConfig,
-        store: &mut RefTrackedStore<'_, AddrM, ValM>,
-    ) -> BTreeSet<ValM> {
-        self.eval_ref(e, &config.env, store)
+    fn var_addr(config: &MConfig, v: Symbol) -> Option<AddrM> {
+        Some(AddrM {
+            slot: Slot::Var(v),
+            env: config.env.clone(),
+        })
     }
 
     fn addr_parts(addr: &AddrM) -> (&Slot, &CallString) {
@@ -249,53 +250,42 @@ impl ThreadedMachine for FlatCfaMachine<'_> {
     }
 }
 
-/// Builds the thread graph by re-stepping every saturated configuration
-/// against the final store.
-///
-/// At a completed fixpoint every reference-step successor is itself a
-/// saturated configuration; if the run was cut short by limits, unknown
-/// successors are dropped and the graph (like the analysis itself)
-/// under-approximates that frontier.
-fn build_graph<M: ThreadedMachine>(
-    machine: &mut M,
-    program: &CpsProgram,
-    configs: &[M::Config],
-    store: &mut RefStore<M::Addr, M::Val>,
-) -> ThreadGraph {
-    let index: HashMap<&M::Config, usize> =
-        configs.iter().enumerate().map(|(i, c)| (c, i)).collect();
-    let entry = index.get(&machine.initial()).copied();
-    let mut nodes = Vec::with_capacity(configs.len());
-    let mut succs = Vec::with_capacity(configs.len());
-    let mut tids = BTreeSet::new();
-    for config in configs {
-        let tid = M::tid(config).clone();
-        tids.insert(tid.clone());
-        let mut out = Vec::new();
-        {
-            let mut tracked = RefTrackedStore::wrap(store);
-            machine.step(config, &mut tracked, &mut out);
-        }
-        let mut edges = BTreeSet::new();
-        for succ in &out {
-            if let Some(&j) = index.get(succ) {
-                edges.insert(j);
-            }
-        }
-        succs.push(edges.into_iter().collect());
+/// The flow of `e` in `config`, looked up in the fixpoint store. Thread
+/// handles and atoms reach an atomic expression only through a
+/// variable; a literal or a lambda denotes neither, so it reads as ⊥
+/// here.
+fn var_flow<M: ThreadedMachine>(
+    e: &AExp,
+    config: &M::Config,
+    store: &AbsStore<M::Addr, M::Val>,
+) -> Flow {
+    match e {
+        AExp::Var(v) => M::var_addr(config, *v).map_or_else(Flow::empty, |a| store.read_flow(&a)),
+        AExp::Lit(_) | AExp::Lam(_) => Flow::empty(),
+    }
+}
 
+/// Step 1: one node per saturated configuration, with its facts read
+/// off the fixpoint store.
+fn node_facts<'f, M: ThreadedMachine>(
+    machine: &M,
+    program: &CpsProgram,
+    fixpoint: &'f FixpointResult<M::Config, M::Addr, M::Val>,
+) -> Vec<Node<'f>> {
+    let store = &fixpoint.store;
+    let node = |config: &'f M::Config| {
+        let tid = M::tid(config);
         let call = program.call(M::call(config));
         let kind = match &call.kind {
             CallKind::Spawn { .. } => NodeKind::Spawn {
                 child: tid.push(call.label, machine.spawn_bound()),
             },
             CallKind::Join { target, .. } => {
-                let mut tracked = RefTrackedStore::wrap(store);
-                let handles = machine.eval(target, config, &mut tracked);
+                let handles = var_flow::<M>(target, config, store);
                 let mut targets = BTreeSet::new();
                 let mut only_tids = !handles.is_empty();
-                for v in &handles {
-                    match M::as_tid(v) {
+                for id in handles.iter() {
+                    match M::as_tid(store.val(id)) {
                         Some(ret) => {
                             let (slot, ctx) = M::addr_parts(ret);
                             if matches!(slot, Slot::ThreadRet(_)) {
@@ -308,7 +298,7 @@ fn build_graph<M: ThreadedMachine>(
                     }
                 }
                 let must = if only_tids && targets.len() == 1 {
-                    targets.iter().next().cloned()
+                    targets.into_iter().next()
                 } else {
                     None
                 };
@@ -323,15 +313,12 @@ fn build_graph<M: ThreadedMachine>(
                 };
                 match (access, args.first()) {
                     (Some(kind), Some(target)) => {
-                        let mut tracked = RefTrackedStore::wrap(store);
-                        let cells: Vec<(CellKey, AccessKind)> = machine
-                            .eval(target, config, &mut tracked)
-                            .iter()
-                            .filter_map(M::as_atom)
-                            .filter_map(|cell| {
-                                let (slot, ctx) = M::addr_parts(cell);
-                                match slot {
-                                    Slot::Atom(label) => Some((
+                        let cells: Vec<(CellKey, AccessKind)> =
+                            var_flow::<M>(target, config, store)
+                                .iter()
+                                .filter_map(|id| M::as_atom(store.val(id)))
+                                .filter_map(|cell| match M::addr_parts(cell) {
+                                    (Slot::Atom(label), ctx) => Some((
                                         CellKey {
                                             label: *label,
                                             ctx: ctx.clone(),
@@ -339,9 +326,8 @@ fn build_graph<M: ThreadedMachine>(
                                         kind,
                                     )),
                                     _ => None,
-                                }
-                            })
-                            .collect();
+                                })
+                                .collect();
                         if cells.is_empty() {
                             NodeKind::Other
                         } else {
@@ -353,16 +339,48 @@ fn build_graph<M: ThreadedMachine>(
             }
             _ => NodeKind::Other,
         };
-        nodes.push(Node {
+        Node {
             tid,
             site: call.label,
             kind,
-        });
+        }
+    };
+    fixpoint.configs.iter().map(node).collect()
+}
+
+/// Step 3: the successor edges, from re-stepping every saturated
+/// configuration against a value-level copy of the final store.
+///
+/// At a completed fixpoint every reference-step successor is itself a
+/// saturated configuration; if the run was cut short by limits, unknown
+/// successors are dropped and the graph (like the analysis itself)
+/// under-approximates that frontier.
+fn build_graph<'n, 'f, M: ThreadedMachine>(
+    machine: &mut M,
+    nodes: &'n [Node<'f>],
+    fixpoint: &FixpointResult<M::Config, M::Addr, M::Val>,
+) -> ThreadGraph<'n, 'f> {
+    let mut store = RefStore::new();
+    for (addr, values) in fixpoint.store.iter() {
+        store.join(addr.clone(), values);
     }
+    let configs = &fixpoint.configs;
+    let index: HashMap<&M::Config, usize> =
+        configs.iter().enumerate().map(|(i, c)| (c, i)).collect();
+    let entry = index.get(&machine.initial()).copied();
+    let mut out = Vec::new();
+    let succs = configs
+        .iter()
+        .map(|config| {
+            out.clear();
+            machine.step(config, &mut RefTrackedStore::wrap(&mut store), &mut out);
+            let edges: BTreeSet<usize> = out.iter().filter_map(|s| index.get(s).copied()).collect();
+            edges.into_iter().collect()
+        })
+        .collect();
     ThreadGraph {
         nodes,
         succs,
-        tids,
         entry,
     }
 }
@@ -415,7 +433,7 @@ fn singleton_tids(graph: &ThreadGraph) -> BTreeSet<CallString> {
                 continue;
             }
             let s = sites[0];
-            if singles.contains(&graph.nodes[s].tid) && !on_cycle(&graph.succs, s) {
+            if singles.contains(graph.nodes[s].tid) && !on_cycle(&graph.succs, s) {
                 singles.insert((*tid).clone());
                 changed = true;
             }
@@ -427,15 +445,15 @@ fn singleton_tids(graph: &ThreadGraph) -> BTreeSet<CallString> {
     singles
 }
 
-/// Forward must-analysis: for each node, the threads certainly joined on
-/// every path from the entry. Optimistic initialization (unvisited = ⊤),
-/// intersection at merges; a spawn kills its child (a re-spawn
-/// invalidates the old completion), and a join generates only when its
-/// unique target is a singleton family ([`singleton_tids`]) — joining
-/// one handle of a multi-member family leaves the siblings running, so
-/// nothing completes for certain. Nodes unreachable from the entry keep
-/// ∅ — no ordering claims there — and a missing entry (the initial
-/// config absent from `configs`) yields ∅ everywhere.
+/// Step 4, forward must-analysis: for each node, the threads certainly
+/// joined on every path from the entry. Optimistic initialization
+/// (unvisited = ⊤), intersection at merges; a spawn kills its child (a
+/// re-spawn invalidates the old completion), and a join generates only
+/// when its unique target is a singleton family ([`singleton_tids`]) —
+/// joining one handle of a multi-member family leaves the siblings
+/// running, so nothing completes for certain. Nodes unreachable from
+/// the entry keep ∅ — no ordering claims there — and a missing entry
+/// (the initial config absent from `configs`) yields ∅ everywhere.
 fn must_joined(graph: &ThreadGraph) -> Vec<BTreeSet<CallString>> {
     let n = graph.nodes.len();
     let mut inv: Vec<Option<BTreeSet<CallString>>> = vec![None; n];
@@ -599,11 +617,33 @@ fn suggestion(first: (&str, Label, AccessKind), second: (&str, Label, AccessKind
     }
 }
 
-/// Runs steps 2–4 over a finished thread graph.
-fn analyze_graph(graph: &ThreadGraph, analysis: &str) -> RaceReport {
-    let n = graph.nodes.len();
+/// One atom-access fact: a node's access to one cell.
+struct Acc<'g> {
+    node: usize,
+    tid: &'g CallString,
+    site: Label,
+    cell: &'g CellKey,
+    kind: AccessKind,
+}
+
+/// Whether `a` and `b` can race if nothing orders them: the same cell
+/// from different abstract threads, at least one write, not both
+/// `cas!`.
+fn conflicts(a: &Acc, b: &Acc) -> bool {
+    a.tid != b.tid
+        && a.cell == b.cell
+        && (a.kind.writes() || b.kind.writes())
+        && !(a.kind == AccessKind::Cas && b.kind == AccessKind::Cas)
+}
+
+/// Steps 4 and 5 over a finished thread graph: keeps the candidate
+/// pairs that neither ordering argument orders.
+fn unordered<'a, 'g>(
+    graph: &ThreadGraph,
+    candidates: Vec<(&'a Acc<'g>, &'a Acc<'g>)>,
+) -> Vec<(&'a Acc<'g>, &'a Acc<'g>)> {
     let must_in = must_joined(graph);
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); graph.nodes.len()];
     for (i, ss) in graph.succs.iter().enumerate() {
         for &j in ss {
             preds[j].push(i);
@@ -624,28 +664,6 @@ fn analyze_graph(graph: &ThreadGraph, analysis: &str) -> RaceReport {
         }
     }
 
-    struct Acc<'g> {
-        node: usize,
-        tid: &'g CallString,
-        site: Label,
-        cell: &'g CellKey,
-        kind: AccessKind,
-    }
-    let mut accesses = Vec::new();
-    for (i, node) in graph.nodes.iter().enumerate() {
-        if let NodeKind::Access(cells) = &node.kind {
-            for (cell, kind) in cells {
-                accesses.push(Acc {
-                    node: i,
-                    tid: &node.tid,
-                    site: node.site,
-                    cell,
-                    kind: *kind,
-                });
-            }
-        }
-    }
-
     // `x` finishes before thread `u` even starts: every spawn of `u` is
     // causally after `x` and never loops back.
     let before_all_spawns = |x: &Acc, u: &CallString| -> bool {
@@ -661,31 +679,59 @@ fn analyze_graph(graph: &ThreadGraph, analysis: &str) -> RaceReport {
             || before_all_spawns(a, b.tid)
             || before_all_spawns(b, a.tid)
     };
+    candidates
+        .into_iter()
+        .filter(|(a, b)| !ordered(a, b))
+        .collect()
+}
+
+/// Runs the detector over a saturated fixpoint of `machine`.
+fn detect<M: ThreadedMachine>(
+    mut machine: M,
+    program: &CpsProgram,
+    fixpoint: &FixpointResult<M::Config, M::Addr, M::Val>,
+    analysis: String,
+) -> RaceReport {
+    let nodes = node_facts(&machine, program, fixpoint);
+    let mut accesses = Vec::new();
+    for (i, node) in nodes.iter().enumerate() {
+        if let NodeKind::Access(cells) = &node.kind {
+            for (cell, kind) in cells {
+                accesses.push(Acc {
+                    node: i,
+                    tid: node.tid,
+                    site: node.site,
+                    cell,
+                    kind: *kind,
+                });
+            }
+        }
+    }
+    let mut candidates = Vec::new();
+    for (i, a) in accesses.iter().enumerate() {
+        for b in &accesses[i + 1..] {
+            if conflicts(a, b) {
+                candidates.push((a, b));
+            }
+        }
+    }
+    // Only a candidate pair needs the thread graph to be ordered.
+    let racing = if candidates.is_empty() {
+        candidates
+    } else {
+        unordered(&build_graph(&mut machine, &nodes, fixpoint), candidates)
+    };
 
     // Dedupe site-level pairs (one source conflict shows up once, no
     // matter how many configurations or contexts cover it), sorted for
     // stability.
     type Endpoint = (String, Label, AccessKind);
     let mut pairs: BTreeSet<(Label, Endpoint, Endpoint)> = BTreeSet::new();
-    for (i, a) in accesses.iter().enumerate() {
-        for b in &accesses[i + 1..] {
-            if a.tid == b.tid || a.cell != b.cell {
-                continue;
-            }
-            if !a.kind.writes() && !b.kind.writes() {
-                continue;
-            }
-            if a.kind == AccessKind::Cas && b.kind == AccessKind::Cas {
-                continue;
-            }
-            if ordered(a, b) {
-                continue;
-            }
-            let ea = (render_tid(a.tid), a.site, a.kind);
-            let eb = (render_tid(b.tid), b.site, b.kind);
-            let (first, second) = if ea <= eb { (ea, eb) } else { (eb, ea) };
-            pairs.insert((a.cell.label, first, second));
-        }
+    for (a, b) in racing {
+        let ea = (render_tid(a.tid), a.site, a.kind);
+        let eb = (render_tid(b.tid), b.site, b.kind);
+        let (first, second) = if ea <= eb { (ea, eb) } else { (eb, ea) };
+        pairs.insert((a.cell.label, first, second));
     }
 
     let races = pairs
@@ -718,26 +764,13 @@ fn analyze_graph(graph: &ThreadGraph, analysis: &str) -> RaceReport {
         })
         .collect();
 
+    let threads: BTreeSet<&CallString> = nodes.iter().map(|n| n.tid).collect();
     RaceReport {
-        analysis: analysis.to_string(),
-        threads: graph.tids.iter().map(render_tid).collect(),
+        analysis,
+        threads: threads.into_iter().map(render_tid).collect(),
         accesses: accesses.len(),
         races,
     }
-}
-
-/// Copies the interned engine store into a value-level reference store.
-fn materialize_store<A, V, I>(entries: I) -> RefStore<A, V>
-where
-    A: Clone + Eq + std::hash::Hash,
-    V: Ord + Clone,
-    I: IntoIterator<Item = (A, BTreeSet<V>)>,
-{
-    let mut store = RefStore::new();
-    for (addr, values) in entries {
-        store.join(addr, values);
-    }
-    store
 }
 
 /// Runs the race detector over a saturated k-CFA fixpoint (from
@@ -750,10 +783,12 @@ pub fn races_kcfa(
     k: usize,
     fixpoint: &FixpointResult<KConfig, AddrK, ValK>,
 ) -> RaceReport {
-    let mut machine = KCfaMachine::new(program, k);
-    let mut store = materialize_store(fixpoint.store.iter().map(|(a, vs)| (a.clone(), vs)));
-    let graph = build_graph(&mut machine, program, &fixpoint.configs, &mut store);
-    analyze_graph(&graph, &format!("k={k}"))
+    detect(
+        KCfaMachine::new(program, k),
+        program,
+        fixpoint,
+        format!("k={k}"),
+    )
 }
 
 /// Runs the race detector over a saturated m-CFA fixpoint (from
@@ -765,10 +800,8 @@ pub fn races_mcfa(
     m: usize,
     fixpoint: &FixpointResult<MConfig, AddrM, ValM>,
 ) -> RaceReport {
-    let mut machine = FlatCfaMachine::new(program, m, FlatPolicy::TopMFrames);
-    let mut store = materialize_store(fixpoint.store.iter().map(|(a, vs)| (a.clone(), vs)));
-    let graph = build_graph(&mut machine, program, &fixpoint.configs, &mut store);
-    analyze_graph(&graph, &format!("m={m}"))
+    let machine = FlatCfaMachine::new(program, m, FlatPolicy::TopMFrames);
+    detect(machine, program, fixpoint, format!("m={m}"))
 }
 
 /// Runs the race detector over a saturated polynomial-k-CFA fixpoint
@@ -780,10 +813,8 @@ pub fn races_poly_kcfa(
     k: usize,
     fixpoint: &FixpointResult<MConfig, AddrM, ValM>,
 ) -> RaceReport {
-    let mut machine = FlatCfaMachine::new(program, k, FlatPolicy::LastKCalls);
-    let mut store = materialize_store(fixpoint.store.iter().map(|(a, vs)| (a.clone(), vs)));
-    let graph = build_graph(&mut machine, program, &fixpoint.configs, &mut store);
-    analyze_graph(&graph, &format!("poly k={k}"))
+    let machine = FlatCfaMachine::new(program, k, FlatPolicy::LastKCalls);
+    detect(machine, program, fixpoint, format!("poly k={k}"))
 }
 
 impl RaceReport {
@@ -893,6 +924,13 @@ mod tests {
         let r = analyze_mcfa(&p, m, EngineLimits::default());
         assert!(r.metrics.status.is_complete(), "fixpoint incomplete");
         races_mcfa(&p, m, &r.fixpoint)
+    }
+
+    fn report_poly(src: &str, k: usize) -> RaceReport {
+        let p = cfa_syntax::compile(src).unwrap();
+        let r = analyze_poly_kcfa(&p, k, EngineLimits::default());
+        assert!(r.metrics.status.is_complete(), "fixpoint incomplete");
+        races_poly_kcfa(&p, k, &r.fixpoint)
     }
 
     const UNJOINED_READ: &str = "(let ((a (atom 0)))
@@ -1108,5 +1146,24 @@ mod tests {
         assert!(report.races.is_empty());
         assert_eq!(report.threads, vec!["main".to_string()]);
         assert_eq!(report.accesses, 0);
+    }
+
+    #[test]
+    fn single_threaded_atom_accesses_report_nothing() {
+        // Atoms but no spawn: both accesses are main's, so no candidate
+        // pair exists and the report comes from the node facts alone,
+        // without a thread graph.
+        let src = "(let ((a (atom 0))) (begin (reset! a 1) (deref a)))";
+        for report in [
+            report_k(src, 0),
+            report_k(src, 1),
+            report_m(src, 1),
+            report_poly(src, 1),
+        ] {
+            let text = report.render_text();
+            assert_eq!(report.threads, vec!["main".to_string()], "{text}");
+            assert_eq!(report.accesses, 2, "{text}");
+            assert!(report.races.is_empty(), "{text}");
+        }
     }
 }

@@ -104,8 +104,9 @@ pub struct RefTrackedStore<'a, A, V> {
 
 impl<'a, A: Eq + Hash + Clone, V: Ord + Clone> RefTrackedStore<'a, A, V> {
     /// Wraps a store for a one-off step outside the engine loop — how
-    /// the race detector re-steps saturated configurations against the
-    /// final store. Recorded reads and growth are simply discarded.
+    /// the race detector recovers the saturated graph's edges when a
+    /// candidate pair needs ordering. Recorded reads and growth are
+    /// simply discarded.
     pub(crate) fn wrap(store: &'a mut RefStore<A, V>) -> Self {
         RefTrackedStore {
             store,
