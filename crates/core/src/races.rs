@@ -510,10 +510,13 @@ fn reach(edges: &[Vec<usize>], start: usize) -> Vec<bool> {
     seen
 }
 
+/// The rendered name of the main thread.
+const MAIN: &str = "main";
+
 /// Renders a thread id (`main` for the empty spawn string).
 fn render_tid(tid: &CallString) -> String {
     if tid.is_empty() {
-        "main".to_string()
+        MAIN.to_string()
     } else {
         tid.to_string()
     }
@@ -605,15 +608,25 @@ fn suggestion(first: (&str, Label, AccessKind), second: (&str, Label, AccessKind
         (AccessKind::Write, AccessKind::Write) => {
             format!("order threads {ft} and {st} with join, or perform both updates with cas!")
         }
-        // Read racing some write: order the reader after the writer.
-        (AccessKind::Read, _) => {
-            format!("join thread {st} before the deref at ℓ{fs}, or fold the read into a cas!")
-        }
-        (_, AccessKind::Read) => {
-            format!("join thread {ft} before the deref at ℓ{ss}, or fold the read into a cas!")
-        }
+        (AccessKind::Read, _) => read_fix((ft, fs), (st, ss, sk)),
+        (_, AccessKind::Read) => read_fix((st, ss), (ft, fs, fk)),
         // Both-cas pairs are exempt before this point.
         (AccessKind::Cas, AccessKind::Cas) => unreachable!("cas/cas pairs are not races"),
+    }
+}
+
+/// The fix for a read racing a write: order the reader after the
+/// writer by joining the writer first. No thread holds a handle to
+/// `main`, so when `main` writes, order the other way: `main` joins the
+/// reader before its write.
+fn read_fix(reader: (&str, Label), writer: (&str, Label, AccessKind)) -> String {
+    let (rt, rs) = reader;
+    let (wt, ws, wk) = writer;
+    if wt == MAIN {
+        let op = wk.op();
+        format!("join thread {rt} before the {op} at ℓ{ws}, or fold the read into a cas!")
+    } else {
+        format!("join thread {wt} before the deref at ℓ{rs}, or fold the read into a cas!")
     }
 }
 
@@ -1024,6 +1037,31 @@ mod tests {
             "suggestion should point at cas!: {}",
             race.suggestion
         );
+    }
+
+    #[test]
+    fn child_read_racing_a_main_write_suggests_joining_the_reader() {
+        // No thread can join `main`: the fix orders main's write after
+        // the child's read instead.
+        let src = "(let ((a (atom 0)))
+               (let ((t (spawn (deref a))))
+                 (begin (reset! a 1) (join t))))";
+        for report in [report_k(src, 1), report_m(src, 1), report_poly(src, 1)] {
+            assert_eq!(report.races.len(), 1, "{}", report.render_text());
+            let race = &report.races[0];
+            assert_eq!(
+                (race.first.thread.as_str(), race.first.op),
+                ("main", "reset!")
+            );
+            assert_eq!(race.second.op, "deref");
+            assert_eq!(
+                race.suggestion,
+                format!(
+                    "join thread {} before the reset! at ℓ{}, or fold the read into a cas!",
+                    race.second.thread, race.first.site
+                )
+            );
+        }
     }
 
     #[test]
