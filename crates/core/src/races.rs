@@ -445,15 +445,15 @@ fn singleton_tids(graph: &ThreadGraph) -> BTreeSet<CallString> {
     singles
 }
 
-/// Step 4, forward must-analysis: for each node, the threads certainly
-/// joined on every path from the entry. Optimistic initialization
-/// (unvisited = ⊤), intersection at merges; a spawn kills its child (a
-/// re-spawn invalidates the old completion), and a join generates only
-/// when its unique target is a singleton family ([`singleton_tids`]) —
-/// joining one handle of a multi-member family leaves the siblings
-/// running, so nothing completes for certain. Nodes unreachable from
-/// the entry keep ∅ — no ordering claims there — and a missing entry
-/// (the initial config absent from `configs`) yields ∅ everywhere.
+/// Forward must-analysis: for each node, the threads certainly joined on
+/// every path from the entry. Optimistic initialization (unvisited = ⊤),
+/// intersection at merges; a spawn kills its child (a re-spawn
+/// invalidates the old completion), and a join generates only when its
+/// unique target is a singleton family ([`singleton_tids`]) — joining
+/// one handle of a multi-member family leaves the siblings running, so
+/// nothing completes for certain. Nodes unreachable from the entry keep
+/// ∅ — no ordering claims there — and a missing entry (the initial
+/// config absent from `configs`) yields ∅ everywhere.
 fn must_joined(graph: &ThreadGraph) -> Vec<BTreeSet<CallString>> {
     let n = graph.nodes.len();
     let mut inv: Vec<Option<BTreeSet<CallString>>> = vec![None; n];
@@ -796,12 +796,8 @@ pub fn races_kcfa(
     k: usize,
     fixpoint: &FixpointResult<KConfig, AddrK, ValK>,
 ) -> RaceReport {
-    detect(
-        KCfaMachine::new(program, k),
-        program,
-        fixpoint,
-        format!("k={k}"),
-    )
+    let machine = KCfaMachine::new(program, k);
+    detect(machine, program, fixpoint, format!("k={k}"))
 }
 
 /// Runs the race detector over a saturated m-CFA fixpoint (from
@@ -1179,29 +1175,24 @@ mod tests {
 
     #[test]
     fn sequential_programs_report_nothing() {
-        let src = "(define (f x) (+ x 1)) (f 41)";
-        let report = report_k(src, 0);
-        assert!(report.races.is_empty());
-        assert_eq!(report.threads, vec!["main".to_string()]);
-        assert_eq!(report.accesses, 0);
-    }
-
-    #[test]
-    fn single_threaded_atom_accesses_report_nothing() {
-        // Atoms but no spawn: both accesses are main's, so no candidate
-        // pair exists and the report comes from the node facts alone,
-        // without a thread graph.
-        let src = "(let ((a (atom 0))) (begin (reset! a 1) (deref a)))";
-        for report in [
-            report_k(src, 0),
-            report_k(src, 1),
-            report_m(src, 1),
-            report_poly(src, 1),
+        // The second program has atoms but no spawn: both accesses are
+        // main's, so no candidate pair exists and the report comes from
+        // the node facts alone, without a thread graph.
+        for (src, accesses) in [
+            ("(define (f x) (+ x 1)) (f 41)", 0),
+            ("(let ((a (atom 0))) (begin (reset! a 1) (deref a)))", 2),
         ] {
-            let text = report.render_text();
-            assert_eq!(report.threads, vec!["main".to_string()], "{text}");
-            assert_eq!(report.accesses, 2, "{text}");
-            assert!(report.races.is_empty(), "{text}");
+            for report in [
+                report_k(src, 0),
+                report_k(src, 1),
+                report_m(src, 1),
+                report_poly(src, 1),
+            ] {
+                let text = report.render_text();
+                assert_eq!(report.threads, vec!["main".to_string()], "{text}");
+                assert_eq!(report.accesses, accesses, "{text}");
+                assert!(report.races.is_empty(), "{text}");
+            }
         }
     }
 }

@@ -110,11 +110,6 @@ fn flat_reports(src: &str, bound: usize, policy: FlatPolicy) -> Vec<(String, Rac
     out
 }
 
-/// The m-CFA engine sweep.
-fn mcfa_reports(src: &str, m: usize) -> Vec<(String, RaceReport)> {
-    flat_reports(src, m, FlatPolicy::TopMFrames)
-}
-
 /// Asserts all engine-labeled reports agree, returning the canonical one.
 fn assert_engines_agree_on_report(name: &str, reports: Vec<(String, RaceReport)>) -> RaceReport {
     let (_, canonical) = reports.first().expect("at least one engine ran").clone();
@@ -139,7 +134,8 @@ fn racy_programs_all_report_races_everywhere() {
                 report.render_text()
             );
         }
-        let report = assert_engines_agree_on_report(name, mcfa_reports(src, 1));
+        let report =
+            assert_engines_agree_on_report(name, flat_reports(src, 1, FlatPolicy::TopMFrames));
         assert!(
             !report.races.is_empty(),
             "{name} (m=1): seeded race missed\n{}",
@@ -157,7 +153,8 @@ fn synchronized_programs_stay_silent_everywhere() {
             "{name} (k=1): false positive on synchronized program\n{}",
             report.render_text()
         );
-        let report = assert_engines_agree_on_report(name, mcfa_reports(src, 1));
+        let report =
+            assert_engines_agree_on_report(name, flat_reports(src, 1, FlatPolicy::TopMFrames));
         assert!(
             report.races.is_empty(),
             "{name} (m=1): false positive on synchronized program\n{}",
@@ -180,7 +177,7 @@ fn random_concurrent_reports_are_engine_independent() {
         for reports in [
             kcfa_reports(&src, 0),
             kcfa_reports(&src, 1),
-            mcfa_reports(&src, 1),
+            flat_reports(&src, 1, FlatPolicy::TopMFrames),
             flat_reports(&src, 1, FlatPolicy::LastKCalls),
         ] {
             let report = assert_engines_agree_on_report(&name, reports);
