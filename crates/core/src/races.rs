@@ -1094,6 +1094,43 @@ mod tests {
     }
 
     #[test]
+    fn access_through_a_merged_flow_touches_every_cell() {
+        // At k=0 `pick` merges its results, so `p` may hold either
+        // atom: the child's write must count against `b` as well.
+        let src = "(let ((a (atom 0)))
+               (let ((b (atom 0)))
+                 (let ((pick (lambda (x) x)))
+                   (let ((p (pick a)))
+                     (let ((q (pick b)))
+                       (let ((t (spawn (reset! p 1))))
+                         (begin (deref q) (join t))))))))";
+        let report = report_k(src, 0);
+        assert_eq!(report.races.len(), 2, "{}", report.render_text());
+        let cells: BTreeSet<&str> = report.races.iter().map(|r| r.cell.as_str()).collect();
+        assert_eq!(cells.len(), 2, "{}", report.render_text());
+    }
+
+    #[test]
+    fn join_through_a_merged_handle_does_not_order() {
+        // At k=0 `h` may be either thread, so joining it orders
+        // neither write before the deref.
+        let src = "(let ((a (atom 0)))
+               (let ((pick (lambda (x) x)))
+                 (let ((t1 (spawn (reset! a 1))))
+                   (let ((t2 (spawn (reset! a 2))))
+                     (let ((h (pick t1)))
+                       (let ((g (pick t2)))
+                         (begin (join h) (deref a))))))))";
+        let report = report_k(src, 0);
+        let readers: Vec<&Race> = report
+            .races
+            .iter()
+            .filter(|r| r.kind == RaceKind::ReadWrite)
+            .collect();
+        assert_eq!(readers.len(), 2, "{}", report.render_text());
+    }
+
+    #[test]
     fn loop_spawned_family_join_does_not_order() {
         // A recursive loop re-firing one spawn site: the spawn node is
         // on a graph cycle, so the family is multi-member and joining
