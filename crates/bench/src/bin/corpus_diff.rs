@@ -1,11 +1,12 @@
 //! Corpus-scale differential runner: sweeps the workload suite plus a
 //! band of seeded generated programs (sequential *and* concurrent)
-//! through all seven engine configurations — sequential,
-//! replicated-parallel, and sharded-parallel, each in both eval modes,
-//! plus the reference oracle — canonicalizes every fixpoint with
-//! `cfa_core::canon`, and diffs the normal forms. The four pooled
-//! configurations ride one long-lived [`AnalysisPool`], so programs
-//! overlap across pool tenants for free.
+//! through every engine configuration — the sequential engine and the
+//! sharded parallel engine at [`PAR_THREADS`] workers, each in both
+//! eval modes, the pool tenant (the path `cfa serve` runs) in both
+//! modes, and the reference oracle — canonicalizes every fixpoint with
+//! `cfa_core::canon`, and diffs the normal forms. The pooled runs ride
+//! one long-lived [`AnalysisPool`], so they overlap with the inline
+//! runs for free.
 //!
 //! Any divergence is written as a replayable artifact directory
 //! (program source, both snapshots, and the exact `cfa dump` /
@@ -22,8 +23,6 @@
 //!   jobs scale it up).
 //! * `CFA_CORPUS_SEED` — base seed for the generated band (default 0).
 //! * `CFA_CORPUS_ONLY` — substring filter on program names.
-//! * `CFA_STORE_BACKEND` — `replicated` | `sharded` | `both` gates the
-//!   parallel side, mirroring the CI backend matrix.
 //! * `CFA_ARTIFACT_DIR` — where failure artifacts are written (default
 //!   `target/corpus-diff`).
 //! * The usual engine limits (`CFA_MAX_ITERS`, `CFA_TIME_BUDGET_MS`,
@@ -34,95 +33,18 @@ use cfa_core::flatcfa::{FlatCfaMachine, FlatPolicy};
 use cfa_core::kcfa::KCfaMachine;
 use cfa_core::reference::{run_fixpoint_reference, RefFixpointResult, ReferenceMachine};
 use cfa_core::{
-    Analysis, AnalysisPool, CanonSnapshot, NotComparable, PoolConfig, Replicated, Sharded,
+    run_fixpoint_parallel_on, Analysis, AnalysisPool, CanonSnapshot, NotComparable, PoolConfig,
+    Replicated, Sharded,
 };
-use cfa_testsupport::{
-    backend_selection, golden_slug, quiet_injected_panics, BackendSelection, PAR_THREADS,
-};
+use cfa_testsupport::corpus::{CorpusProgram, CorpusSelection};
+use cfa_testsupport::{golden_slug, quiet_injected_panics, PAR_THREADS};
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// One corpus entry: a named program, plus the seed that regenerates it
-/// when it came from the random generators.
-struct CorpusProgram {
-    name: String,
-    source: String,
-    seed: Option<u64>,
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(v) => v.parse().unwrap_or_else(|e| panic!("{name}={v:?}: {e}")),
-        Err(_) => default,
-    }
-}
-
-/// The full corpus: every workloads-suite program, the paper's
-/// worst-case family, the golden concurrent programs, and
-/// `CFA_CORPUS_SIZE` seeded generated programs alternating between the
-/// sequential and the spawn/join/atom generators.
-fn corpus() -> Vec<CorpusProgram> {
-    let mut out: Vec<CorpusProgram> = cfa_workloads::suite()
-        .iter()
-        .map(|p| CorpusProgram {
-            name: p.name.to_owned(),
-            source: p.source.to_owned(),
-            seed: None,
-        })
-        .collect();
-    out.push(CorpusProgram {
-        name: "worst-case n=3".to_owned(),
-        source: cfa_workloads::worst_case_source(3),
-        seed: None,
-    });
-    out.push(CorpusProgram {
-        name: "fn-program 2x2".to_owned(),
-        source: cfa_workloads::fn_program(2, 2),
-        seed: None,
-    });
-    for &(name, src) in cfa_testsupport::golden_racy_programs() {
-        out.push(CorpusProgram {
-            name: format!("racy: {name}"),
-            source: src.to_owned(),
-            seed: None,
-        });
-    }
-    for &(name, src) in cfa_testsupport::golden_synchronized_programs() {
-        out.push(CorpusProgram {
-            name: format!("synchronized: {name}"),
-            source: src.to_owned(),
-            seed: None,
-        });
-    }
-    let size = env_u64("CFA_CORPUS_SIZE", 16);
-    let base = env_u64("CFA_CORPUS_SEED", 0);
-    for i in 0..size {
-        let seed = base + i;
-        let (name, source) = if i % 2 == 0 {
-            (
-                format!("gen-seq seed={seed}"),
-                cfa_testsupport::random_scheme_program(seed, 30),
-            )
-        } else {
-            (
-                format!("gen-conc seed={seed}"),
-                cfa_testsupport::random_concurrent_scheme_program(seed, 25),
-            )
-        };
-        out.push(CorpusProgram {
-            name,
-            source,
-            seed: Some(seed),
-        });
-    }
-    if let Ok(filter) = std::env::var("CFA_CORPUS_ONLY") {
-        out.retain(|p| p.name.contains(&filter));
-    }
-    out
-}
+const MODES: [EvalMode; 2] = [EvalMode::SemiNaive, EvalMode::FullReeval];
 
 fn mode_flag(mode: EvalMode) -> &'static str {
     match mode {
@@ -131,17 +53,54 @@ fn mode_flag(mode: EvalMode) -> &'static str {
     }
 }
 
+/// One engine configuration of the sweep.
+#[derive(Copy, Clone, Debug)]
+enum Engine {
+    Reference,
+    Sequential(EvalMode),
+    Sharded(EvalMode),
+    Pooled(EvalMode),
+}
+
+impl std::fmt::Display for Engine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Engine::Reference => f.write_str("reference"),
+            Engine::Sequential(mode) => write!(f, "sequential {}", mode_flag(mode)),
+            Engine::Sharded(mode) => write!(f, "sharded {}", mode_flag(mode)),
+            Engine::Pooled(mode) => write!(f, "pooled {}", mode_flag(mode)),
+        }
+    }
+}
+
+impl Engine {
+    /// The `cfa dump` flags that run this configuration. `cfa dump` has
+    /// no pool, so a pooled run maps to the sequential engine, which
+    /// keeps the same private store on one worker.
+    fn dump_flags(self) -> String {
+        match self {
+            Engine::Reference => "--backend reference".to_owned(),
+            Engine::Sequential(mode) | Engine::Pooled(mode) => {
+                format!("--backend sequential --mode {}", mode_flag(mode))
+            }
+            Engine::Sharded(mode) => format!(
+                "--backend sharded --mode {} --threads {PAR_THREADS}",
+                mode_flag(mode)
+            ),
+        }
+    }
+}
+
 /// How one engine configuration's run canonicalized: a normal form, or
 /// the reason it has none.
-type EngineOutcome = (String, Result<CanonSnapshot, String>);
+type EngineOutcome = (Engine, Result<CanonSnapshot, String>);
 
-/// Runs one (program, analysis) pair through all seven engine
-/// configurations (the parallel side gated by `backends`): the four
-/// pooled parallel runs are submitted first, then the reference oracle
-/// and the two sequential modes run inline while the pool churns.
+/// Runs one (program, analysis) pair through every engine
+/// configuration: the two pooled runs are submitted first, then the
+/// reference oracle, the sequential and the sharded runs go inline
+/// while the pool churns. The reference outcome comes first.
 fn sweep_engines<M, R, F, G, CF, CR>(
     pool: &AnalysisPool,
-    backends: BackendSelection,
     mk: F,
     mk_ref: G,
     canon_fix: CF,
@@ -159,38 +118,29 @@ where
     CR: Fn(&RefFixpointResult<M::Config, M::Addr, M::Val>) -> Result<CanonSnapshot, NotComparable>,
 {
     let limits = EngineLimits::from_env;
-    let mut handles = Vec::new();
-    for mode in [EvalMode::SemiNaive, EvalMode::FullReeval] {
-        if backends.replicated {
-            handles.push((
-                format!("replicated {}", mode_flag(mode)),
+    let handles: Vec<_> = MODES
+        .map(|mode| {
+            (
+                Engine::Pooled(mode),
                 pool.submit::<Replicated, M>(mk(), limits(), mode),
-            ));
-        }
-        if backends.sharded {
-            handles.push((
-                format!("sharded {}", mode_flag(mode)),
-                pool.submit::<Sharded, M>(mk(), limits(), mode),
-            ));
-        }
-    }
+            )
+        })
+        .into();
 
-    let mut out = Vec::new();
+    let canon =
+        |r: &FixpointResult<M::Config, M::Addr, M::Val>| canon_fix(r).map_err(|e| e.to_string());
     let r = run_fixpoint_reference(&mut mk_ref(), limits());
-    out.push((
-        "reference".to_owned(),
-        canon_ref(&r).map_err(|e| e.to_string()),
-    ));
-    for mode in [EvalMode::SemiNaive, EvalMode::FullReeval] {
+    let mut out = vec![(Engine::Reference, canon_ref(&r).map_err(|e| e.to_string()))];
+    for mode in MODES {
         let r = run_fixpoint_with(&mut mk(), limits(), mode);
-        out.push((
-            format!("sequential {}", mode_flag(mode)),
-            canon_fix(&r).map_err(|e| e.to_string()),
-        ));
+        out.push((Engine::Sequential(mode), canon(&r)));
     }
-    for (name, handle) in handles {
-        let run = handle.wait();
-        out.push((name, canon_fix(&run.fixpoint).map_err(|e| e.to_string())));
+    for mode in MODES {
+        let r = run_fixpoint_parallel_on::<Sharded, M>(&mut mk(), PAR_THREADS, limits(), mode);
+        out.push((Engine::Sharded(mode), canon(&r)));
+    }
+    for (engine, handle) in handles {
+        out.push((engine, canon(&handle.wait().fixpoint)));
     }
     out
 }
@@ -211,7 +161,7 @@ fn write_artifact(
     root: &std::path::Path,
     program: &CorpusProgram,
     analysis: Analysis,
-    engine: &str,
+    engine: Engine,
     reference_json: &str,
     divergent_json: &str,
     report: &cfa_core::DiffReport,
@@ -220,21 +170,20 @@ fn write_artifact(
         "{}--{}--{}",
         golden_slug(&program.name),
         golden_slug(&analysis.short_name()),
-        golden_slug(engine)
+        golden_slug(&engine.to_string())
     ));
     std::fs::create_dir_all(&dir).expect("create artifact dir");
     std::fs::write(dir.join("program.scm"), &program.source).expect("write program");
     std::fs::write(dir.join("reference.json"), reference_json).expect("write reference snapshot");
     std::fs::write(dir.join("divergent.json"), divergent_json).expect("write divergent snapshot");
-    let mut parts = engine.splitn(2, ' ');
-    let backend = parts.next().unwrap_or("sequential");
-    let mode = parts.next().unwrap_or("semi-naive");
     let flag = analysis_flag(analysis);
-    let seed_note = match program.seed {
-        Some(seed) => format!(
-            "\nThe program came from the seeded generator: regenerate the whole\n\
-             corpus band with PROPTEST_SEED={seed} CFA_CORPUS_SEED={seed} \
-             CFA_CORPUS_SIZE=1.\n"
+    let replay_note = match &program.replay {
+        Some(selection) => format!(
+            "\nThe program came from the seeded generator; replay exactly this\n\
+             program through every engine with:\n\n\
+             ```\n\
+             {selection} cargo run -p cfa-bench --release --bin corpus_diff\n\
+             ```\n"
         ),
         None => String::new(),
     };
@@ -243,14 +192,13 @@ fn write_artifact(
          Reproduce with:\n\n\
          ```\n\
          cfa dump {flag} --backend reference --out reference.json program.scm\n\
-         cfa dump {flag} --backend {backend} --mode {mode} --threads {threads} \
-         --out divergent.json program.scm\n\
+         cfa dump {flag} {dump_flags} --out divergent.json program.scm\n\
          cfa compare reference.json divergent.json\n\
          ```\n\
-         {seed_note}\n\
+         {replay_note}\n\
          First divergent facts:\n\n{report}\n",
         name = program.name,
-        threads = PAR_THREADS,
+        dump_flags = engine.dump_flags(),
         report = report.render(),
     );
     std::fs::write(dir.join("README.md"), readme).expect("write artifact README");
@@ -259,7 +207,6 @@ fn write_artifact(
 
 fn main() -> ExitCode {
     quiet_injected_panics();
-    let backends = backend_selection();
     let pool = AnalysisPool::new(PoolConfig::from_env());
     let artifact_root = PathBuf::from(
         std::env::var("CFA_ARTIFACT_DIR").unwrap_or_else(|_| "target/corpus-diff".to_owned()),
@@ -270,7 +217,7 @@ fn main() -> ExitCode {
         Analysis::PolyKCfa { k: 1 },
     ];
 
-    let programs = corpus();
+    let programs = CorpusSelection::from_env().programs();
     let mut comparisons = 0usize;
     let mut divergences = 0usize;
     let mut not_comparable = 0usize;
@@ -288,7 +235,6 @@ fn main() -> ExitCode {
             let outcomes = match analysis {
                 Analysis::KCfa { k } => sweep_engines(
                     &pool,
-                    backends,
                     || KCfaMachine::new_owned(Arc::clone(&compiled), k),
                     || KCfaMachine::new_owned(Arc::clone(&compiled), k),
                     |r| cfa_core::canon_kcfa(&compiled, k, r),
@@ -296,7 +242,6 @@ fn main() -> ExitCode {
                 ),
                 Analysis::MCfa { m } => sweep_engines(
                     &pool,
-                    backends,
                     || FlatCfaMachine::new_owned(Arc::clone(&compiled), m, FlatPolicy::TopMFrames),
                     || FlatCfaMachine::new_owned(Arc::clone(&compiled), m, FlatPolicy::TopMFrames),
                     |r| cfa_core::canon_mcfa(&compiled, m, r),
@@ -304,7 +249,6 @@ fn main() -> ExitCode {
                 ),
                 Analysis::PolyKCfa { k } => sweep_engines(
                     &pool,
-                    backends,
                     || FlatCfaMachine::new_owned(Arc::clone(&compiled), k, FlatPolicy::LastKCalls),
                     || FlatCfaMachine::new_owned(Arc::clone(&compiled), k, FlatPolicy::LastKCalls),
                     |r| cfa_core::canon_poly_kcfa(&compiled, k, r),
@@ -350,7 +294,7 @@ fn main() -> ExitCode {
                                 &artifact_root,
                                 program,
                                 analysis,
-                                engine,
+                                *engine,
                                 &reference_json,
                                 &json,
                                 &report,

@@ -1,37 +1,27 @@
 //! Engine benchmark — the interned delta-driven engine (in both
-//! evaluation modes), both parallel store backends, and the retained
+//! evaluation modes), the sharded parallel engine, and the retained
 //! original engine, measured in the same process on the same workloads.
 //!
 //! Runs the depth-sweep k-CFA workload (the suite programs the
 //! `depth_sweep` experiment uses, plus the paper's worst-case family)
-//! through seven engine configurations:
+//! through four engine configurations:
 //!
 //! * `semi_naive` — `cfa_core::engine::run_fixpoint` (the default:
 //!   semi-naive delta-aware transfer functions);
 //! * `new` — the same engine under `EvalMode::FullReeval`, i.e. the
 //!   PR-2 sequential engine (full re-evaluation on every wakeup), kept
 //!   as the baseline the semi-naive column is judged against;
-//! * `parallel` — the replicated backend
-//!   (`cfa_core::parallel::run_fixpoint_parallel`, per-worker store
-//!   copies + all-to-all fact broadcast) at [`PAR_THREADS`] workers,
-//!   under the fabric's default adaptive wake-batch coalescing;
-//! * `parallel_drain_all` — the same backend under
-//!   `WakeBatching::DrainAll` (the pre-fabric inbox discipline) — the
-//!   wake-batching *before* cell;
 //! * `sharded` — the shared address-sharded store backend
-//!   (`cfa_core::shardstore::run_fixpoint_sharded`) at the same thread
-//!   count — same fixpoint, O(program) store memory instead of
-//!   O(program × threads) — adaptive batching;
-//! * `sharded_drain_all` — its drain-all *before* cell;
+//!   (`cfa_core::shardstore::run_fixpoint_sharded`, semi-naive) at
+//!   [`PAR_THREADS`] workers — same fixpoint, O(program) store memory;
 //! * `reference` — the retained pre-interning engine.
 //!
 //! Emits `BENCH_engine.json` with wall times, iteration counts, join
 //! counts, **value-join volumes** (ids scanned by joins — the number
 //! semi-naive evaluation shrinks), `delta_facts`, `delta_applies`
 //! (narrowed application sites), **`store_bytes`** (approximate
-//! store-resident bytes: summed replicas for `parallel`, the one shared
-//! store for `sharded` — the replication-memory cut as a measured
-//! number), and the scheduler counters (`steals`, `failed_steals`,
+//! store-resident bytes: the private store of a sequential run, the one
+//! shared store for `sharded`), and the scheduler counters (`steals`, `failed_steals`,
 //! `idle_spins`, `inbox_batches`, `inbox_drains`), so future PRs have
 //! a perf trajectory to compare against.
 //!
@@ -45,9 +35,7 @@
 //! (writes BENCH_engine.json into the current directory).
 
 use cfa_core::engine::{run_fixpoint_with, EngineLimits, EvalMode, FixpointResult, Status};
-use cfa_core::fabric::WakeBatching;
 use cfa_core::kcfa::KCfaMachine;
-use cfa_core::parallel::run_fixpoint_parallel;
 use cfa_core::reference::run_fixpoint_reference;
 use cfa_core::shardstore::run_fixpoint_sharded;
 use cfa_syntax::cps::CpsProgram;
@@ -143,34 +131,12 @@ fn run_new(program: &CpsProgram, k: usize, runs: usize, mode: EvalMode) -> Cell 
     })
 }
 
-/// Best-of-N timing of the replicated parallel engine on one cell,
-/// under the given wake-batch coalescing policy.
-fn run_parallel(program: &CpsProgram, k: usize, runs: usize, batching: WakeBatching) -> Cell {
-    let limits = EngineLimits {
-        wake_batching: batching,
-        ..EngineLimits::default()
-    };
+/// Best-of-N timing of the sharded parallel engine on one cell.
+fn run_sharded(program: &CpsProgram, k: usize, runs: usize) -> Cell {
     best_of(runs, || {
         let mut machine = KCfaMachine::new(program, k);
         let start = Instant::now();
-        let r = run_fixpoint_parallel(&mut machine, PAR_THREADS, limits.clone());
-        let seconds = start.elapsed().as_secs_f64();
-        assert!(r.status.is_complete(), "bench cells must complete");
-        cell_of(&r, seconds)
-    })
-}
-
-/// Best-of-N timing of the sharded parallel engine on one cell, under
-/// the given wake-batch coalescing policy.
-fn run_sharded(program: &CpsProgram, k: usize, runs: usize, batching: WakeBatching) -> Cell {
-    let limits = EngineLimits {
-        wake_batching: batching,
-        ..EngineLimits::default()
-    };
-    best_of(runs, || {
-        let mut machine = KCfaMachine::new(program, k);
-        let start = Instant::now();
-        let r = run_fixpoint_sharded(&mut machine, PAR_THREADS, limits.clone());
+        let r = run_fixpoint_sharded(&mut machine, PAR_THREADS, EngineLimits::default());
         let seconds = start.elapsed().as_secs_f64();
         assert!(r.status.is_complete(), "bench cells must complete");
         cell_of(&r, seconds)
@@ -291,28 +257,21 @@ fn main() {
 
     let runs = 3;
     let mut rows: Vec<String> = Vec::new();
-    let (mut total_semi, mut total_new, mut total_par, mut total_sh, mut total_ref) =
-        (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    // Wake-batch coalescing before/after: drain-all is the pre-fabric
-    // inbox discipline, adaptive the fabric's bounded-batch default.
-    let (mut total_par_drain_all, mut total_sh_drain_all) = (0.0f64, 0.0f64);
+    let (mut total_semi, mut total_new, mut total_sh, mut total_ref) =
+        (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     let mut peak_facts = 0usize;
-    // The acceptance metric of the sharded backend: its store-resident
-    // bytes vs the replicated backend's, on the heaviest cell.
-    let (mut interp2_sharded_bytes, mut interp2_replicated_bytes) = (0u64, 0u64);
 
     println!(
-        "{:>14} {:>3} | {:>9} {:>9} {:>9} {:>9} {:>9} | {:>8} {:>8} | {:>11} {:>11}",
+        "{:>14} {:>3} | {:>9} {:>9} {:>9} {:>9} | {:>8} {:>8} | {:>11} {:>11}",
         "program",
         "k",
         "semi (s)",
         "full (s)",
-        "par4 (s)",
         "shard4(s)",
         "ref (s)",
         "semi-spd",
-        "byte-rat",
-        "par bytes",
+        "shrd-spd",
+        "semi bytes",
         "shard bytes"
     );
     for (name, source) in &workload {
@@ -320,19 +279,9 @@ fn main() {
         for k in 0..=2usize {
             let semi = run_new(&program, k, runs, EvalMode::SemiNaive);
             let new = run_new(&program, k, runs, EvalMode::FullReeval);
-            let parallel = run_parallel(&program, k, runs, WakeBatching::Adaptive);
-            let parallel_drain_all = run_parallel(&program, k, runs, WakeBatching::DrainAll);
-            let sharded = run_sharded(&program, k, runs, WakeBatching::Adaptive);
-            let sharded_drain_all = run_sharded(&program, k, runs, WakeBatching::DrainAll);
+            let sharded = run_sharded(&program, k, runs);
             let reference = run_reference(&program, k, runs);
-            for (tag, cell) in [
-                ("semi-naive", &semi),
-                ("full", &new),
-                ("parallel", &parallel),
-                ("parallel_drain_all", &parallel_drain_all),
-                ("sharded", &sharded),
-                ("sharded_drain_all", &sharded_drain_all),
-            ] {
+            for (tag, cell) in [("semi-naive", &semi), ("full", &new), ("sharded", &sharded)] {
                 assert_eq!(
                     cell.facts, reference.facts,
                     "{name} k={k}: {tag} fixpoint diverges"
@@ -348,33 +297,23 @@ fn main() {
             );
             total_semi += semi.seconds;
             total_new += new.seconds;
-            total_par += parallel.seconds;
             total_sh += sharded.seconds;
-            total_par_drain_all += parallel_drain_all.seconds;
-            total_sh_drain_all += sharded_drain_all.seconds;
             total_ref += reference.seconds;
             peak_facts = peak_facts.max(semi.facts);
-            if name == "interp" && k == 2 {
-                interp2_sharded_bytes = sharded.store_bytes;
-                interp2_replicated_bytes = parallel.store_bytes;
-            }
             let speedup = reference.seconds / new.seconds.max(1e-9);
-            let par_speedup = semi.seconds / parallel.seconds.max(1e-9);
             let sharded_speedup = semi.seconds / sharded.seconds.max(1e-9);
             let semi_speedup = new.seconds / semi.seconds.max(1e-9);
-            let byte_ratio = sharded.store_bytes as f64 / (parallel.store_bytes.max(1)) as f64;
             println!(
-                "{:>14} {:>3} | {:>9.4} {:>9.4} {:>9.4} {:>9.4} {:>9.4} | {:>7.2}x {:>7.2}x | {:>11} {:>11}",
+                "{:>14} {:>3} | {:>9.4} {:>9.4} {:>9.4} {:>9.4} | {:>7.2}x {:>7.2}x | {:>11} {:>11}",
                 name,
                 k,
                 semi.seconds,
                 new.seconds,
-                parallel.seconds,
                 sharded.seconds,
                 reference.seconds,
                 semi_speedup,
-                byte_ratio,
-                parallel.store_bytes,
+                sharded_speedup,
+                semi.store_bytes,
                 sharded.store_bytes
             );
             let mut row = String::new();
@@ -383,21 +322,13 @@ fn main() {
             row.push_str(", ");
             cell_json(&mut row, "new", &new);
             row.push_str(", ");
-            cell_json(&mut row, "parallel", &parallel);
-            row.push_str(", ");
-            cell_json(&mut row, "parallel_drain_all", &parallel_drain_all);
-            row.push_str(", ");
             cell_json(&mut row, "sharded", &sharded);
-            row.push_str(", ");
-            cell_json(&mut row, "sharded_drain_all", &sharded_drain_all);
             let _ = write!(row, ", \"parallel_threads\": {PAR_THREADS}, ");
             cell_json(&mut row, "reference", &reference);
             let _ = write!(
                 row,
                 ", \"speedup\": {speedup:.3}, \"speedup_semi_naive\": {semi_speedup:.3}, \
-                 \"speedup_parallel\": {par_speedup:.3}, \
-                 \"speedup_sharded\": {sharded_speedup:.3}, \
-                 \"sharded_byte_ratio\": {byte_ratio:.3}}}"
+                 \"speedup_sharded\": {sharded_speedup:.3}}}"
             );
             rows.push(row);
         }
@@ -405,28 +336,13 @@ fn main() {
 
     let speedup = total_ref / total_new.max(1e-9);
     let semi_speedup = total_new / total_semi.max(1e-9);
-    let par_speedup = total_semi / total_par.max(1e-9);
-    let sharded_vs_par = total_par / total_sh.max(1e-9);
-    let batching_par = total_par_drain_all / total_par.max(1e-9);
-    let batching_sh = total_sh_drain_all / total_sh.max(1e-9);
-    let interp2_byte_ratio =
-        interp2_sharded_bytes as f64 / (interp2_replicated_bytes.max(1)) as f64;
+    let sharded_speedup = total_semi / total_sh.max(1e-9);
     println!();
     println!(
-        "total: semi-naive {total_semi:.3}s, full {total_new:.3}s, parallel({PAR_THREADS}t) \
-         {total_par:.3}s, sharded({PAR_THREADS}t) {total_sh:.3}s, reference {total_ref:.3}s — \
-         {semi_speedup:.2}x semi-naive vs full, {speedup:.2}x full vs reference, \
-         {par_speedup:.2}x parallel vs semi-naive, {sharded_vs_par:.2}x sharded vs parallel, \
+        "total: semi-naive {total_semi:.3}s, full {total_new:.3}s, sharded({PAR_THREADS}t) \
+         {total_sh:.3}s, reference {total_ref:.3}s — {semi_speedup:.2}x semi-naive vs full, \
+         {speedup:.2}x full vs reference, {sharded_speedup:.2}x sharded vs semi-naive, \
          peak {peak_facts} facts"
-    );
-    println!(
-        "interp k=2 store bytes: sharded {interp2_sharded_bytes} vs replicated \
-         {interp2_replicated_bytes} ({interp2_byte_ratio:.3}x)"
-    );
-    println!(
-        "wake batching (adaptive vs drain-all): replicated {total_par:.3}s vs \
-         {total_par_drain_all:.3}s ({batching_par:.2}x), sharded {total_sh:.3}s vs \
-         {total_sh_drain_all:.3}s ({batching_sh:.2}x)"
     );
 
     // Disabled-path telemetry overhead, measured not assumed: the
@@ -456,36 +372,11 @@ fn main() {
     let _ = writeln!(json, "  \"host_cpus\": {},", host_cpus());
     let _ = writeln!(json, "  \"total_seconds_semi_naive\": {total_semi:.6},");
     let _ = writeln!(json, "  \"total_seconds_new\": {total_new:.6},");
-    let _ = writeln!(json, "  \"total_seconds_parallel\": {total_par:.6},");
     let _ = writeln!(json, "  \"total_seconds_sharded\": {total_sh:.6},");
-    let _ = writeln!(
-        json,
-        "  \"total_seconds_parallel_drain_all\": {total_par_drain_all:.6},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"total_seconds_sharded_drain_all\": {total_sh_drain_all:.6},"
-    );
     let _ = writeln!(json, "  \"total_seconds_reference\": {total_ref:.6},");
     let _ = writeln!(json, "  \"speedup\": {speedup:.3},");
     let _ = writeln!(json, "  \"speedup_semi_naive\": {semi_speedup:.3},");
-    let _ = writeln!(json, "  \"speedup_parallel\": {par_speedup:.3},");
-    let _ = writeln!(
-        json,
-        "  \"speedup_sharded_vs_parallel\": {sharded_vs_par:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"wake_batching_speedup_parallel\": {batching_par:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"wake_batching_speedup_sharded\": {batching_sh:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"interp_k2_sharded_byte_ratio\": {interp2_byte_ratio:.3},"
-    );
+    let _ = writeln!(json, "  \"speedup_sharded\": {sharded_speedup:.3},");
     let _ = writeln!(json, "  \"peak_fact_count\": {peak_facts},");
     let _ = writeln!(
         json,

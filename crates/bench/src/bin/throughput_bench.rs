@@ -1,5 +1,5 @@
 //! Pool throughput benchmark — the multi-tenant [`AnalysisPool`]
-//! driving the whole workload suite concurrently, per store backend.
+//! driving the whole workload suite concurrently.
 //!
 //! Submits every suite program (plus the paper's worst-case family at
 //! n = 2/4/6) at k = 1 to one long-lived pool, several times over
@@ -24,26 +24,23 @@
 //! Results are merged into `BENCH_engine.json` under a top-level
 //! `"throughput"` key (replacing a previous throughput section,
 //! preserving `engine_bench`'s cells). The pool is sized by
-//! `CFA_POOL_THREADS` / `CFA_POOL_QUEUE_DEPTH`; `CFA_STORE_BACKEND`
-//! (`replicated` | `sharded` | `both`) selects the backends, as in the
-//! differential suites.
+//! `CFA_POOL_THREADS` / `CFA_POOL_QUEUE_DEPTH`.
 //!
 //! Usage: `cargo run -p cfa-bench --release --bin throughput_bench`
 //! (merges into BENCH_engine.json in the current directory).
 
 use cfa_core::engine::{EngineLimits, Status};
 use cfa_core::kcfa::{analyze_kcfa, submit_kcfa, KcfaJob};
-use cfa_core::parallel::{Replicated, Sharded};
-use cfa_core::pool::{AnalysisPool, PoolBackend, PoolConfig};
+use cfa_core::parallel::Replicated;
+use cfa_core::pool::{AnalysisPool, PoolConfig};
 use cfa_syntax::cps::CpsProgram;
-use cfa_testsupport::{backend_selection, fixpoint_of};
+use cfa_testsupport::fixpoint_of;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One backend's measured batch.
+/// The measured batch.
 struct ThroughputRow {
-    backend: &'static str,
     jobs: usize,
     wall_seconds: f64,
     analyses_per_sec: f64,
@@ -91,7 +88,7 @@ fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
 
 /// Pushes `repeats` copies of the corpus through one pool and checks
 /// every pooled fixpoint against its solo baseline.
-fn run_backend<B: PoolBackend>(
+fn run_batch(
     programs: &[(String, Arc<CpsProgram>)],
     baselines: &[cfa_testsupport::Fixpoint<
         cfa_core::kcfa::KConfig,
@@ -107,7 +104,7 @@ fn run_backend<B: PoolBackend>(
             programs.iter().enumerate().map(|(i, (_, p))| {
                 (
                     i,
-                    submit_kcfa::<B>(&pool, Arc::clone(p), 1, EngineLimits::default()),
+                    submit_kcfa::<Replicated>(&pool, Arc::clone(p), 1, EngineLimits::default()),
                 )
             })
         })
@@ -122,14 +119,12 @@ fn run_backend<B: PoolBackend>(
         assert_eq!(
             r.fixpoint.status,
             Status::Completed,
-            "{}/{name}: pooled run must complete",
-            B::NAME
+            "{name}: pooled run must complete"
         );
         assert_eq!(
             fixpoint_of(&r.fixpoint),
             baselines[i],
-            "{}/{name}: pooled fixpoint diverged from the solo run",
-            B::NAME
+            "{name}: pooled fixpoint diverged from the solo run"
         );
         latencies.push((r.fixpoint.queue_wait + r.fixpoint.elapsed).as_secs_f64());
         queue_waits.push(r.fixpoint.queue_wait.as_secs_f64());
@@ -151,13 +146,8 @@ fn run_backend<B: PoolBackend>(
         ]
     };
     let analyses_per_sec = count as f64 / wall_seconds.max(1e-9);
-    assert!(
-        analyses_per_sec > 0.0,
-        "{}: throughput must be nonzero",
-        B::NAME
-    );
+    assert!(analyses_per_sec > 0.0, "throughput must be nonzero");
     ThroughputRow {
-        backend: B::NAME,
         jobs: count,
         wall_seconds,
         analyses_per_sec,
@@ -206,18 +196,10 @@ fn main() {
         .map(|(_, p)| fixpoint_of(&analyze_kcfa(p, 1, EngineLimits::default()).fixpoint))
         .collect();
 
-    let selection = backend_selection();
-    let mut rows: Vec<ThroughputRow> = Vec::new();
-    if selection.replicated {
-        rows.push(run_backend::<Replicated>(&programs, &baselines, repeats));
-    }
-    if selection.sharded {
-        rows.push(run_backend::<Sharded>(&programs, &baselines, repeats));
-    }
+    let r = run_batch(&programs, &baselines, repeats);
 
     println!(
-        "{:>10} | {:>5} {:>9} {:>12} | {:>9} {:>9} {:>9} | {:>10} {:>10}",
-        "backend",
+        "{:>5} {:>9} {:>12} | {:>9} {:>9} {:>9} | {:>10} {:>10}",
         "jobs",
         "wall (s)",
         "analyses/s",
@@ -227,33 +209,26 @@ fn main() {
         "qwait avg",
         "qwait max"
     );
-    for r in &rows {
-        println!(
-            "{:>10} | {:>5} {:>9.3} {:>12.1} | {:>9.3} {:>9.3} {:>9.3} | {:>10.3} {:>10.3}",
-            r.backend,
-            r.jobs,
-            r.wall_seconds,
-            r.analyses_per_sec,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-            r.mean_queue_wait_ms,
-            r.max_queue_wait_ms
-        );
-    }
-    for r in &rows {
-        println!(
-            "{:>10} | queue-wait p50/p95/p99 {:.3}/{:.3}/{:.3} ms | \
-             eval p50/p95/p99 {:.3}/{:.3}/{:.3} ms",
-            r.backend,
-            r.queue_wait_pcts_ms[0],
-            r.queue_wait_pcts_ms[1],
-            r.queue_wait_pcts_ms[2],
-            r.eval_pcts_ms[0],
-            r.eval_pcts_ms[1],
-            r.eval_pcts_ms[2]
-        );
-    }
+    println!(
+        "{:>5} {:>9.3} {:>12.1} | {:>9.3} {:>9.3} {:>9.3} | {:>10.3} {:>10.3}",
+        r.jobs,
+        r.wall_seconds,
+        r.analyses_per_sec,
+        r.p50_ms,
+        r.p95_ms,
+        r.p99_ms,
+        r.mean_queue_wait_ms,
+        r.max_queue_wait_ms
+    );
+    println!(
+        "queue-wait p50/p95/p99 {:.3}/{:.3}/{:.3} ms | eval p50/p95/p99 {:.3}/{:.3}/{:.3} ms",
+        r.queue_wait_pcts_ms[0],
+        r.queue_wait_pcts_ms[1],
+        r.queue_wait_pcts_ms[2],
+        r.eval_pcts_ms[0],
+        r.eval_pcts_ms[1],
+        r.eval_pcts_ms[2]
+    );
     println!(
         "pool: {} threads, queue depth {}, {} distinct programs x {} repeats — \
          every pooled fixpoint matched its solo run",
@@ -263,54 +238,37 @@ fn main() {
         repeats
     );
 
+    let pcts = |p: &[f64; 3]| {
+        format!(
+            "{{\"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}}}",
+            p[0], p[1], p[2]
+        )
+    };
     let mut section = String::from("{\n");
     let _ = writeln!(section, "    \"pool_threads\": {},", config.threads);
     let _ = writeln!(section, "    \"queue_depth\": {},", config.queue_depth);
     let _ = writeln!(section, "    \"repeats\": {repeats},");
     let _ = writeln!(section, "    \"distinct_programs\": {},", programs.len());
-    let _ = writeln!(section, "    \"backends\": {{");
-    let backend_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "      \"{}\": {{\"jobs\": {}, \"wall_seconds\": {:.6}, \
-                 \"analyses_per_sec\": {:.3}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-                 \"p99_ms\": {:.3}, \"mean_queue_wait_ms\": {:.3}, \
-                 \"max_queue_wait_ms\": {:.3}, \"all_completed\": true}}",
-                r.backend,
-                r.jobs,
-                r.wall_seconds,
-                r.analyses_per_sec,
-                r.p50_ms,
-                r.p95_ms,
-                r.p99_ms,
-                r.mean_queue_wait_ms,
-                r.max_queue_wait_ms
-            )
-        })
-        .collect();
-    let _ = writeln!(section, "{}", backend_rows.join(",\n"));
-    let _ = writeln!(section, "    }},");
-    let _ = writeln!(section, "    \"latency_breakdown\": {{");
-    let breakdown_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let obj = |p: &[f64; 3]| {
-                format!(
-                    "{{\"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}}}",
-                    p[0], p[1], p[2]
-                )
-            };
-            format!(
-                "      \"{}\": {{\"queue_wait\": {}, \"eval\": {}}}",
-                r.backend,
-                obj(&r.queue_wait_pcts_ms),
-                obj(&r.eval_pcts_ms)
-            )
-        })
-        .collect();
-    let _ = writeln!(section, "{}", breakdown_rows.join(",\n"));
-    let _ = writeln!(section, "    }}");
+    let _ = writeln!(
+        section,
+        "    \"jobs\": {}, \"wall_seconds\": {:.6}, \"analyses_per_sec\": {:.3}, \
+         \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \
+         \"mean_queue_wait_ms\": {:.3}, \"max_queue_wait_ms\": {:.3}, \"all_completed\": true,",
+        r.jobs,
+        r.wall_seconds,
+        r.analyses_per_sec,
+        r.p50_ms,
+        r.p95_ms,
+        r.p99_ms,
+        r.mean_queue_wait_ms,
+        r.max_queue_wait_ms
+    );
+    let _ = writeln!(
+        section,
+        "    \"latency_breakdown\": {{\"queue_wait\": {}, \"eval\": {}}}",
+        pcts(&r.queue_wait_pcts_ms),
+        pcts(&r.eval_pcts_ms)
+    );
     section.push_str("  }");
     merge_into_bench_json(&section);
 }

@@ -6,7 +6,7 @@
 //! cfa races [--kcfa K | --mcfa M | --poly K] [--json] FILE.scm
 //! cfa dump [--kcfa K | --mcfa M | --poly K] [--backend B] [--out FILE] FILE.scm
 //! cfa compare A.json B.json         # diff two canonical snapshots
-//! cfa serve [--backend B]           # pooled query server over stdin
+//! cfa serve                         # pooled query server over stdin
 //! cfa trace [--out FILE] FILE.scm   # Chrome trace of one fixpoint
 //! cfa run FILE.scm                  # concrete execution (shared envs)
 //! cfa cps FILE.scm                  # print the CPS conversion
@@ -39,11 +39,11 @@ fn usage() -> ExitCode {
         "usage:
   cfa analyze [--kcfa K | --mcfa M | --poly K | --all] [--report] FILE.scm
   cfa races [--kcfa K | --mcfa M | --poly K] [--json] FILE.scm
-  cfa dump [--kcfa K | --mcfa M | --poly K] [--backend sequential|replicated|sharded|reference]
+  cfa dump [--kcfa K | --mcfa M | --poly K] [--backend sequential|sharded|reference]
            [--mode semi-naive|full-reeval] [--threads N] [--out FILE] FILE.scm
   cfa compare [--limit N] A.json B.json
-  cfa serve [--backend replicated|sharded]
-  cfa trace [--out FILE] [--kcfa K] [--backend replicated|sharded] [--threads N] FILE.scm
+  cfa serve
+  cfa trace [--out FILE] [--kcfa K] [--threads N] FILE.scm
   cfa run FILE.scm
   cfa cps FILE.scm
   cfa dot FILE.scm
@@ -366,7 +366,7 @@ fn dump_snapshot(
     let bad_backend = || {
         eprintln!(
             "cfa: unknown engine backend '{backend}' \
-             (use sequential, replicated, sharded or reference)"
+             (use sequential, sharded or reference)"
         );
         ExitCode::from(2)
     };
@@ -383,12 +383,6 @@ fn dump_snapshot(
             }
             let r = match backend {
                 "sequential" => run_fixpoint_with(&mut machine, run_limits(), mode),
-                "replicated" => run_fixpoint_parallel_on::<cfa_core::Replicated, _>(
-                    &mut machine,
-                    threads,
-                    run_limits(),
-                    mode,
-                ),
                 "sharded" => run_fixpoint_parallel_on::<cfa_core::Sharded, _>(
                     &mut machine,
                     threads,
@@ -421,12 +415,6 @@ fn dump_snapshot(
             }
             let r = match backend {
                 "sequential" => run_fixpoint_with(&mut machine, run_limits(), mode),
-                "replicated" => run_fixpoint_parallel_on::<cfa_core::Replicated, _>(
-                    &mut machine,
-                    threads,
-                    run_limits(),
-                    mode,
-                ),
                 "sharded" => run_fixpoint_parallel_on::<cfa_core::Sharded, _>(
                     &mut machine,
                     threads,
@@ -607,7 +595,7 @@ fn cmd_compare(args: &[String]) -> ExitCode {
     }
 }
 
-/// `cfa serve [--backend replicated|sharded]` — a pooled query server.
+/// `cfa serve` — a pooled query server.
 ///
 /// Requests arrive on stdin as a header line, the mini-Scheme source,
 /// and a lone `.` terminator:
@@ -623,7 +611,8 @@ fn cmd_compare(args: &[String]) -> ExitCode {
 ///
 /// Every request is submitted to one long-lived [`AnalysisPool`]
 /// (sized by `CFA_POOL_THREADS` / `CFA_POOL_QUEUE_DEPTH`) as soon as
-/// its terminator is read, so queries analyze concurrently; responses
+/// its terminator is read, so queries analyze concurrently, each in a
+/// tenant with a private store; responses
 /// are printed in request order, each as an `ok N ...` or `err N ...`
 /// header followed by the payload and a lone `.`:
 ///
@@ -638,51 +627,30 @@ fn cmd_compare(args: &[String]) -> ExitCode {
 /// analysis stopped early (timeout, iteration limit, fault) answers
 /// `err N <reason>` — the server keeps serving.
 fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut backend = "replicated".to_owned();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--backend" => {
-                let Some(value) = args.get(i + 1) else {
-                    return usage();
-                };
-                backend = value.clone();
-                i += 2;
-            }
-            _ => return usage(),
-        }
+    if !args.is_empty() {
+        return usage();
     }
-    match backend.as_str() {
-        "replicated" => run_serve::<cfa_core::Replicated>(),
-        "sharded" => run_serve::<cfa_core::Sharded>(),
-        other => {
-            eprintln!("cfa: unknown store backend '{other}' (use replicated or sharded)");
-            ExitCode::from(2)
-        }
-    }
+    run_serve()
 }
 
-/// `cfa trace [--out FILE] [--kcfa K] [--backend replicated|sharded]
-/// [--threads N] FILE.scm` — run one parallel k-CFA fixpoint with full
-/// tracing forced on, write the merged per-worker event rings as Chrome
-/// `trace_event` JSON (loadable in `chrome://tracing` / Perfetto), and
-/// print the derived phase profile.
+/// `cfa trace [--out FILE] [--kcfa K] [--threads N] FILE.scm` — run one
+/// sharded k-CFA fixpoint with full tracing forced on, write the merged
+/// per-worker event rings as Chrome `trace_event` JSON (loadable in
+/// `chrome://tracing` / Perfetto), and print the derived phase profile.
 fn cmd_trace(args: &[String]) -> ExitCode {
     let mut out_path = "profile.json".to_owned();
     let mut k = 1usize;
-    let mut backend = "replicated".to_owned();
     let mut threads = 2usize;
     let mut file = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--out" | "--kcfa" | "--backend" | "--threads" => {
+            "--out" | "--kcfa" | "--threads" => {
                 let Some(value) = args.get(i + 1) else {
                     return usage();
                 };
                 match args[i].as_str() {
                     "--out" => out_path = value.clone(),
-                    "--backend" => backend = value.clone(),
                     "--kcfa" => match parse_usize(value, "context depth") {
                         Ok(depth) => k = depth,
                         Err(code) => return code,
@@ -716,25 +684,12 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     let mut limits = run_limits();
     limits.trace = cfa_core::TraceConfig::full();
     let mut machine = cfa_core::kcfa::KCfaMachine::new(&program, k);
-    let mode = cfa_core::EvalMode::SemiNaive;
-    let result = match backend.as_str() {
-        "replicated" => cfa_core::run_fixpoint_parallel_on::<cfa_core::Replicated, _>(
-            &mut machine,
-            threads,
-            limits,
-            mode,
-        ),
-        "sharded" => cfa_core::run_fixpoint_parallel_on::<cfa_core::Sharded, _>(
-            &mut machine,
-            threads,
-            limits,
-            mode,
-        ),
-        other => {
-            eprintln!("cfa: unknown store backend '{other}' (use replicated or sharded)");
-            return ExitCode::from(2);
-        }
-    };
+    let result = cfa_core::run_fixpoint_parallel_on::<cfa_core::Sharded, _>(
+        &mut machine,
+        threads,
+        limits,
+        cfa_core::EvalMode::SemiNaive,
+    );
     if let Err(code) = check_status(&result.status) {
         return code;
     }
@@ -774,7 +729,7 @@ enum PendingReply {
     Stats(String),
 }
 
-fn run_serve<B: cfa_core::PoolBackend>() -> ExitCode {
+fn run_serve() -> ExitCode {
     use std::io::BufRead as _;
     use std::io::Write as _;
 
@@ -866,7 +821,7 @@ fn run_serve<B: cfa_core::PoolBackend>() -> ExitCode {
         }
         let id = next_id;
         next_id += 1;
-        let reply = parse_serve_request::<B>(&pool, &header, &source);
+        let reply = parse_serve_request(&pool, &header, &source);
         pending.push_back((id, reply));
         // Opportunistically flush any responses that are already done,
         // preserving request order.
@@ -893,11 +848,7 @@ fn run_serve<B: cfa_core::PoolBackend>() -> ExitCode {
 
 /// Parses one `serve` header + body into a submitted job (or an
 /// in-line error). Headers are `callgraph k=N` / `races k=N`.
-fn parse_serve_request<B: cfa_core::PoolBackend>(
-    pool: &cfa_core::AnalysisPool,
-    header: &str,
-    source: &str,
-) -> PendingReply {
+fn parse_serve_request(pool: &cfa_core::AnalysisPool, header: &str, source: &str) -> PendingReply {
     let mut parts = header.split_whitespace();
     let kind = match parts.next() {
         Some("callgraph") => QueryKind::Callgraph,
@@ -921,8 +872,12 @@ fn parse_serve_request<B: cfa_core::PoolBackend>(
         Ok(p) => std::sync::Arc::new(p),
         Err(e) => return PendingReply::Malformed(format!("compile error: {e}")),
     };
-    let job =
-        cfa_core::kcfa::submit_kcfa::<B>(pool, std::sync::Arc::clone(&program), k, run_limits());
+    let job = cfa_core::kcfa::submit_kcfa::<cfa_core::Replicated>(
+        pool,
+        std::sync::Arc::clone(&program),
+        k,
+        run_limits(),
+    );
     PendingReply::Job {
         kind,
         k,

@@ -286,8 +286,9 @@ fn time_budget_overrun_exits_with_code_3() {
 
 #[test]
 fn injected_cancellation_exits_with_code_5() {
-    // The sequential engine checks the token every 256 pops, so the
-    // workload must outlive that cadence for the flip to be observed.
+    // The sequential engine checks the token every
+    // `LIMIT_CHECK_CADENCE` pops, so the workload must outlive that
+    // cadence for the flip to be observed.
     let file = write_temp("cancel.scm", &cfa_workloads::worst_case_source(7));
     let out = cfa()
         .arg("analyze")

@@ -1,7 +1,7 @@
 //! Canonical, engine-independent normal form for a completed fixpoint.
 //!
-//! Seven engine configurations (sequential/replicated/sharded ×
-//! semi-naive/full re-evaluation, plus the reference oracle) must reach
+//! Every engine configuration (sequential/sharded × semi-naive/full
+//! re-evaluation, pool tenants, plus the reference oracle) must reach
 //! the identical fixpoint — the fixed point of a monotone transfer
 //! function is unique. Until now that guarantee lived only inside
 //! in-process assertions (`cfa_testsupport::assert_engines_agree`),

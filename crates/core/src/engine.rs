@@ -21,8 +21,8 @@
 //!   grown past that epoch is skipped outright (its re-evaluation would
 //!   be a provable no-op). With exact (pruned) dependency lists every
 //!   sequential wakeup is justified, so this gate is a safety net here —
-//!   it is *load-bearing* in [`crate::parallel`], whose dedup-free wake
-//!   queues make duplicate wakeups routine;
+//!   it is *load-bearing* in the [`crate::fabric`] loop, whose
+//!   dedup-free wake queues make duplicate wakeups routine;
 //! * joins report the **delta of newly added value ids**, surfaced in
 //!   [`FixpointResult::delta_facts`] — the amount of real lattice growth
 //!   the run performed, as opposed to raw join calls;
@@ -165,9 +165,9 @@ impl DeltaFlow {
 /// configuration's previous evaluation — which powers the semi-naive
 /// [`TrackedStore::read_with_delta`] split.
 ///
-/// The view is backend-polymorphic: the sequential engine and the
-/// replicated parallel workers wrap a thread-local [`AbsStore`]; the
-/// sharded parallel workers wrap a [`crate::shardstore::ShardView`]
+/// The view is backend-polymorphic: the sequential engine and a pool
+/// tenant's one worker wrap a private [`AbsStore`]; the sharded
+/// parallel workers wrap a [`crate::shardstore::ShardView`]
 /// onto the globally shared store (reads snapshot any row, writes go
 /// through the shared row, and growth notifications route to the row's
 /// owner shard). Machines see one API either way.
@@ -201,9 +201,9 @@ impl<'a, A: Eq + Hash + Clone, V: Eq + Hash + Clone + Ord> TrackedStore<'a, A, V
         Self::wrap(store, None, Vec::new(), Vec::new(), Vec::new())
     }
 
-    /// Wraps `store` reusing caller-provided scratch buffers (the
-    /// parallel engine's workers recycle theirs across steps, exactly
-    /// like [`run_fixpoint`] does).
+    /// Wraps `store` reusing caller-provided scratch buffers (a pool
+    /// tenant's worker recycles its own across steps, exactly like
+    /// [`run_fixpoint`] does).
     pub(crate) fn wrap(
         store: &'a mut AbsStore<A, V>,
         baseline: Option<u64>,
@@ -504,7 +504,7 @@ pub struct EngineLimits {
     /// pop-keyed cadence as the wall clock. `None` (the default) means
     /// the run is not externally cancellable.
     pub cancel: Option<CancelToken>,
-    /// Stall-watchdog threshold for the parallel fabric: if the pending
+    /// Stall-watchdog threshold for the fabric: if the pending
     /// counter stays nonzero while *every* worker is idle for longer
     /// than this, the run aborts with a diagnostic dump instead of
     /// hanging forever ([`Status::Aborted`] with
@@ -528,13 +528,6 @@ pub struct EngineLimits {
     /// re-evaluate in full (`new == all`). `None` (the default) never
     /// trims.
     pub store_bytes_watermark: Option<usize>,
-    /// Wake-batch coalescing policy of the parallel fabric
-    /// ([`crate::fabric::WakeBatching`]) — how much of its message
-    /// inbox a worker drains before returning to evaluation. Not a
-    /// resource limit, but carried here so every parallel entry point
-    /// inherits the scheduling knob without another parameter; the
-    /// sequential engine (which has no inbox) ignores it.
-    pub wake_batching: crate::fabric::WakeBatching,
     /// Telemetry configuration ([`crate::telemetry::TraceConfig`]):
     /// off (the default — one dead branch per would-be event),
     /// counters only, or full per-worker event rings merged into
@@ -551,7 +544,6 @@ impl Default for EngineLimits {
             stall_timeout: Some(Duration::from_secs(30)),
             fault_plan: None,
             store_bytes_watermark: None,
-            wake_batching: crate::fabric::WakeBatching::default(),
             trace: crate::telemetry::TraceConfig::default(),
         }
     }
@@ -631,9 +623,9 @@ impl EngineLimits {
 /// Scheduler observability counters, accumulated across workers.
 ///
 /// The sequential engine reports only `store_resident_bytes`; the
-/// parallel backends fill in the scheduling traffic (ROADMAP: "measure
-/// steal rates and idle spins first"). All counters are totals over the
-/// whole run except `max_inbox_depth`, which is the deepest single
+/// fabric engines fill in the scheduling traffic (messages flow only
+/// between the workers of a sharded run). All counters are totals over
+/// the whole run except `max_inbox_depth`, which is the deepest single
 /// inbox drain any worker performed.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
@@ -643,22 +635,21 @@ pub struct SchedStats {
     pub failed_steals: u64,
     /// Idle loop iterations with no task, no message, and no steal.
     pub idle_spins: u64,
-    /// Inter-worker messages processed (fact batches for the replicated
-    /// backend; join/dep/wake messages for the sharded backend).
+    /// Inter-worker messages processed (the sharded backend's growth,
+    /// dependency and wake messages).
     pub inbox_batches: u64,
     /// Non-empty inbox drains performed (`inbox_batches /
-    /// inbox_drains` is the average batch one drain delivered;
-    /// [`crate::fabric::WakeBatching::Adaptive`] sizes its bounded
-    /// drains by the average *observed* depth, which delivered batch
-    /// sizes under-report once the bound kicks in).
+    /// inbox_drains` is the average batch one drain delivered; the
+    /// fabric sizes its bounded drains by the average *observed*
+    /// depth, which delivered batch sizes under-report once the bound
+    /// kicks in).
     pub inbox_drains: u64,
     /// Deepest inbox observed at any single drain (messages waiting,
     /// whether or not that drain delivered them all).
     pub max_inbox_depth: u64,
-    /// Approximate store-resident bytes at quiescence: the one store of
-    /// a sequential run, the *sum over replicas* for the replicated
-    /// parallel backend (that is the memory the broadcast design pays),
-    /// the single shared store for the sharded backend.
+    /// Approximate store-resident bytes at quiescence: the private
+    /// store of a sequential run or pool tenant, the single shared store
+    /// of a sharded run.
     pub store_resident_bytes: u64,
 }
 
@@ -689,8 +680,8 @@ pub struct FixpointResult<C, A, V> {
     /// Popped configurations skipped because no read address had grown
     /// past their last-evaluation epoch. Zero for every monotone machine
     /// under [`run_fixpoint`] (pruned dependency lists make sequential
-    /// wakeups exact); routinely positive under
-    /// [`crate::parallel::run_fixpoint_parallel`], where the epoch gate
+    /// wakeups exact); routinely positive on the [`crate::fabric`]
+    /// engines (sharded runs and pool tenants), where the epoch gate
     /// is the conflict detector for duplicate wakeups.
     pub skipped: u64,
     /// Dependent re-enqueues caused by address growth (wakeups). The
@@ -747,7 +738,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Registers config `i` in the dependency lists of its just-recorded
 /// read set and prunes it from the lists of addresses it no longer
-/// reads — the sequential and parallel engines share this exact logic.
+/// reads — the sequential engine and pool tenants share this exact
+/// logic.
 ///
 /// `reads_buf` holds the step's raw reads; it is sorted and deduped
 /// here, swapped into `config_reads[i]` as the config's read set for
@@ -902,12 +894,13 @@ pub fn run_fixpoint_with<M: AbstractMachine>(
             status = Status::IterationLimit;
             break;
         }
-        // Checking the clock every pop would dominate small runs; every
-        // 256 is fine-grained enough for the harness timeouts. Keyed on
-        // *total pops* (iterations + skipped), not iterations alone: a
-        // long run of gate-skipped pops must still consult the clock, or
-        // it could overrun `time_budget` without ever noticing.
-        if (iterations + skipped).is_multiple_of(256) {
+        // Checking the clock every pop would dominate small runs; the
+        // fabric's cadence bounds cancellation latency the same way on
+        // every engine. Keyed on *total pops* (iterations + skipped),
+        // not iterations alone: a long run of gate-skipped pops must
+        // still consult the clock, or it could overrun `time_budget`
+        // without ever noticing.
+        if (iterations + skipped).is_multiple_of(crate::fabric::LIMIT_CHECK_CADENCE) {
             let external = limits
                 .cancel
                 .as_ref()
@@ -945,7 +938,7 @@ pub fn run_fixpoint_with<M: AbstractMachine>(
             if faults.trim {
                 store.trim_delta_logs();
             }
-            // `leak` targets the parallel fabric's pending counter;
+            // `leak` targets the fabric's pending counter;
             // the sequential engine has no termination protocol to
             // violate, so that clause is a no-op here.
         }
@@ -954,7 +947,7 @@ pub fn run_fixpoint_with<M: AbstractMachine>(
         // addresses it read has grown since, re-evaluation is a no-op.
         // With pruned dependency lists every sequential wakeup implies
         // growth, so this never fires for monotone machines here; it
-        // stays as a cheap guard (and because the parallel workers share
+        // stays as a cheap guard (and because the fabric's workers share
         // the same pop discipline, where it is the conflict detector).
         if let Some(epoch) = last_run_epoch[i] {
             if config_reads[i]

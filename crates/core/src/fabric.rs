@@ -1,15 +1,11 @@
-//! The parallel scheduling fabric: one generic worker driver that both
-//! store backends run on.
+//! The scheduling fabric: one generic worker loop that every
+//! fabric-run store backend shares.
 //!
-//! PR 2 (replicated stores) and PR 4 (one shared address-sharded store)
-//! each hand-rolled the same worker loop — steal discipline, idle
-//! backoff, pending-counter termination, pop-keyed limit checks — and
-//! the ROADMAP warned that scheduling fixes of the PR 2 class (stale
-//! dependency wakeups, timeout starvation) must never be applied to
-//! only one copy. This module is that extraction: the loop exists once,
-//! parameterized over a [`BackendWorker`] that contributes only the
-//! store-specific operations (how facts move, how dependencies
-//! register, what a message means).
+//! The loop exists once, parameterized over a [`BackendWorker`] that
+//! contributes only the store-specific operations (how facts move, how
+//! dependencies register, what a message means), so a scheduling fix
+//! (stale dependency wakeups, timeout starvation) can never land in
+//! only one copy.
 //!
 //! # What the fabric owns
 //!
@@ -32,27 +28,31 @@
 //! * **pop-keyed limit checks** — the wall clock and the store-bytes
 //!   watermark are consulted every [`LIMIT_CHECK_CADENCE`] *pops*
 //!   (evaluations and gate-skips alike), so a long run of skipped pops
-//!   can never starve the timeout — the PR 2 fix, now in one place;
+//!   can never starve the timeout;
 //! * **the iteration budget** — a global evaluation counter claimed
 //!   before each step;
 //! * **idle-spin backoff** and the [`SchedStats`] accounting for all of
 //!   the above;
-//! * **adaptive wake-batch coalescing** ([`WakeBatching`]) — how much
-//!   of the inbox one drain takes before the worker returns to
-//!   evaluating.
+//! * **adaptive inbox drains** — each drain takes a bounded batch sized
+//!   by the worker's observed average inbox depth (clamped to
+//!   8..=512), then the worker returns to evaluating. Workers that see
+//!   deep inboxes take bigger gulps (amortizing the inbox lock);
+//!   workers with shallow traffic take small ones, so evaluations — and
+//!   the wake coalescing that deferring pinned re-runs buys —
+//!   interleave with delivery instead of stalling behind a deep inbox.
 //!
 //! # What a backend contributes
 //!
 //! The [`BackendWorker`] hooks are exactly the store-specific residue:
 //! how a configuration is interned and epoch-gated against *its* store
 //! view, what one evaluation does (step, dependency registration,
-//! growth announcement), what an inter-worker message means (a
-//! replicated fact batch to merge; a sharded growth / dependency /
-//! wake routing message), and what the store-bytes watermark trims.
-//! The replicated backend ([`crate::parallel`]) and the sharded
-//! backend ([`crate::shardstore`]) implement it; the differential
-//! suites prove both reach the sequential engine's fixpoint through
-//! this one loop.
+//! growth announcement), what an inter-worker message means, and what
+//! the store-bytes watermark trims. Two backends implement it: the
+//! sharded multi-worker backend ([`crate::shardstore`], whose messages
+//! route growth, dependency and wake notifications to row owners) and
+//! the one-worker private store of a pool tenant ([`crate::parallel`],
+//! which sends no messages). The differential suites prove both reach
+//! the sequential engine's fixpoint through this one loop.
 
 use crate::engine::{panic_message, CancelToken, EngineLimits, EvalMode, SchedStats, Status};
 use crate::fxhash::{FxHashSet, FxHasher};
@@ -93,10 +93,10 @@ const SEEN_SHARDS: usize = 64;
 /// consult the clock, or it could overrun `time_budget` unnoticed.
 pub const LIMIT_CHECK_CADENCE: u64 = 64;
 
-/// Smallest bounded inbox drain under [`WakeBatching::Adaptive`].
+/// Smallest bounded inbox drain.
 const MIN_DRAIN_BATCH: usize = 8;
 
-/// Largest bounded inbox drain under [`WakeBatching::Adaptive`].
+/// Largest bounded inbox drain.
 const MAX_DRAIN_BATCH: usize = 512;
 
 /// Seen-set shard for a configuration. Taken from the *high* hash bits:
@@ -107,37 +107,6 @@ fn seen_shard<C: Hash>(cfg: &C) -> usize {
     let mut h = FxHasher::default();
     cfg.hash(&mut h);
     (h.finish() >> 58) as usize % SEEN_SHARDS
-}
-
-/// How a worker drains its message inbox — the wake-batch coalescing
-/// policy.
-///
-/// Messages (fact batches, growth notifications, dependency
-/// registrations, remote wakeups) arrive in per-worker inboxes and are
-/// always delivered before new evaluations are taken on. The policy
-/// decides *how many* one drain takes:
-///
-/// * [`WakeBatching::Adaptive`] (the default) takes a bounded batch
-///   sized by the worker's observed average inbox depth (clamped to
-///   8..=512), then returns to evaluating. Workers that historically
-///   see deep inboxes take bigger gulps (amortizing the inbox lock);
-///   workers with shallow traffic take small ones, so evaluations —
-///   and the wake coalescing that deferring pinned re-runs buys —
-///   interleave with delivery instead of stalling behind a deep inbox.
-/// * [`WakeBatching::DrainAll`] takes the whole inbox and delivers
-///   every message before the next evaluation — the pre-fabric
-///   behavior, kept selectable so `engine_bench` can measure the
-///   before/after cells.
-///
-/// Carried on [`EngineLimits::wake_batching`]; ignored by the
-/// sequential engine (which has no inbox).
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum WakeBatching {
-    /// Bounded drains sized by the observed average inbox depth.
-    #[default]
-    Adaptive,
-    /// Unbounded drains: deliver everything before evaluating.
-    DrainAll,
 }
 
 /// A deterministic fault-injection plan, threaded through cheap atomic
@@ -189,7 +158,7 @@ pub struct FaultPlan {
 /// perform (the plan itself owns the cancel flip).
 #[derive(Copy, Clone, Debug, Default)]
 pub(crate) struct PopFaults {
-    /// Force `enforce_watermark(0, ..)` on this worker now.
+    /// Force `enforce_watermark(0)` on this worker now.
     pub trim: bool,
     /// Add one phantom pending count (watchdog test hook).
     pub leak: bool,
@@ -555,7 +524,6 @@ pub struct WorkerCtx<'f, C, M> {
     id: usize,
     fabric: &'f Fabric<C, M>,
     mode: EvalMode,
-    batching: WakeBatching,
     /// Pinned re-evaluations of locally homed configurations, by local
     /// index. Worker-private (no lock): only the owner pushes and pops.
     /// Deliberately dedup-free — the backend's epoch gate absorbs
@@ -576,7 +544,7 @@ pub struct WorkerCtx<'f, C, M> {
     /// branch per emit when tracing is off.
     pub trace: TraceBuffer,
     /// Sum of inbox depths observed at each non-empty drain — the
-    /// adaptive batching signal (`depth_sum / sched.inbox_drains` is
+    /// adaptive drain signal (`depth_sum / sched.inbox_drains` is
     /// the average depth this worker actually finds waiting).
     depth_sum: u64,
     iterations: u64,
@@ -654,18 +622,12 @@ impl WorkerState {
 }
 
 impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
-    fn new(
-        id: usize,
-        fabric: &'f Fabric<C, M>,
-        mode: EvalMode,
-        batching: WakeBatching,
-        trace: TraceBuffer,
-    ) -> Self {
+    fn new(id: usize, fabric: &'f Fabric<C, M>, mode: EvalMode, trace: TraceBuffer) -> Self {
         let state = WorkerState {
             trace,
             ..WorkerState::default()
         };
-        Self::resume(id, fabric, mode, batching, state)
+        Self::resume(id, fabric, mode, state)
     }
 
     /// Rebinds parked worker state to `fabric` for the next run quantum
@@ -674,14 +636,12 @@ impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
         id: usize,
         fabric: &'f Fabric<C, M>,
         mode: EvalMode,
-        batching: WakeBatching,
         state: WorkerState,
     ) -> Self {
         WorkerCtx {
             id,
             fabric,
             mode,
-            batching,
             wakes: state.wakes,
             wakeups: state.wakeups,
             delta_facts: state.delta_facts,
@@ -824,21 +784,15 @@ impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
 
     /// How many messages the next inbox drain may take.
     fn drain_limit(&self) -> usize {
-        match self.batching {
-            WakeBatching::DrainAll => usize::MAX,
-            WakeBatching::Adaptive => {
-                // Sized by the *observed* inbox depth (what was waiting
-                // when this worker drained), never by the delivered
-                // batch sizes — those are themselves capped by the
-                // limit, and averaging them would pin the limit at
-                // MIN_DRAIN_BATCH forever.
-                match self.depth_sum.checked_div(self.sched.inbox_drains) {
-                    None => MIN_DRAIN_BATCH,
-                    Some(avg) => usize::try_from(avg)
-                        .unwrap_or(MAX_DRAIN_BATCH)
-                        .clamp(MIN_DRAIN_BATCH, MAX_DRAIN_BATCH),
-                }
-            }
+        // Sized by the *observed* inbox depth (what was waiting when
+        // this worker drained), never by the delivered batch sizes —
+        // those are themselves capped by the limit, and averaging them
+        // would pin the limit at MIN_DRAIN_BATCH forever.
+        match self.depth_sum.checked_div(self.sched.inbox_drains) {
+            None => MIN_DRAIN_BATCH,
+            Some(avg) => usize::try_from(avg)
+                .unwrap_or(MAX_DRAIN_BATCH)
+                .clamp(MIN_DRAIN_BATCH, MAX_DRAIN_BATCH),
         }
     }
 
@@ -881,8 +835,9 @@ pub trait BackendWorker: Send {
     /// value; `Debug` so an aborted run can name the panicking
     /// configuration).
     type Config: Clone + Eq + Hash + Send + Sync + std::fmt::Debug;
-    /// The backend's inter-worker message: a replicated fact batch, or
-    /// a sharded growth / dependency / wake routing message.
+    /// The backend's inter-worker message: a sharded growth /
+    /// dependency / wake routing message ([`std::convert::Infallible`]
+    /// for a backend that runs one worker).
     type Msg: Send;
 
     /// Seeds the worker's store view before the loop starts (e.g. the
@@ -917,13 +872,12 @@ pub trait BackendWorker: Send {
     fn on_msg(&mut self, msg: Self::Msg, ctx: &mut WorkerCtx<'_, Self::Config, Self::Msg>);
 
     /// Enforces [`EngineLimits::store_bytes_watermark`], called on the
-    /// pop cadence: trim delta logs if this worker's store (or its
-    /// share of it) outgrew `watermark`.
-    fn enforce_watermark(&mut self, watermark: usize, threads: usize);
+    /// pop cadence: trim delta logs if the store this worker writes
+    /// outgrew `watermark`.
+    fn enforce_watermark(&mut self, watermark: usize);
 
-    /// Final accounting after the loop exits (e.g. measuring
-    /// store-resident bytes into `sched` before the driver unions the
-    /// replica away).
+    /// Final accounting after the loop exits (e.g. measuring a private
+    /// store's resident bytes into `sched`).
     fn finish(&mut self, sched: &mut SchedStats);
 }
 
@@ -933,7 +887,7 @@ pub trait BackendWorker: Send {
 #[derive(Debug)]
 pub struct WorkerReport<B> {
     /// The backend worker, for the caller to drain (machine absorb,
-    /// store merge, counter sums).
+    /// counter sums).
     pub backend: B,
     /// Evaluations this worker performed.
     pub iterations: u64,
@@ -954,7 +908,7 @@ pub struct WorkerReport<B> {
 
 /// The unified worker loop — the one place every scheduling invariant
 /// lives. See the module docs for the protocol; the order of business
-/// each turn is: done flag, inbox (bounded by [`WakeBatching`]), fresh
+/// each turn is: done flag, inbox (one bounded drain), fresh
 /// work, pinned wakeups, steal, termination check / idle backoff /
 /// stall watchdog; per pop: fault hooks, cadenced cancel + wall-clock +
 /// watermark checks, epoch gate, iteration claim, contained evaluation.
@@ -1057,10 +1011,8 @@ pub(crate) fn worker_turn<B: BackendWorker>(
     }
 
     // Deliver messages before taking on new evaluations, so local
-    // wakeups are scheduled against the freshest store view. Under
-    // adaptive batching a bounded batch is taken and the worker
-    // falls through to evaluate; under drain-all the whole inbox is
-    // delivered first (the pre-fabric discipline).
+    // wakeups are scheduled against the freshest store view: one
+    // bounded batch, then fall through to evaluate.
     let msgs = ctx.drain_inbox();
     if !msgs.is_empty() {
         for msg in msgs {
@@ -1070,9 +1022,6 @@ pub(crate) fn worker_turn<B: BackendWorker>(
             ctx.fabric.pending_sub();
         }
         ctx.note_busy_transition();
-        if ctx.batching == WakeBatching::DrainAll {
-            return Turn::Worked;
-        }
     }
 
     // Fresh exploration first — it discovers the configuration
@@ -1119,7 +1068,7 @@ pub(crate) fn worker_turn<B: BackendWorker>(
         ctx.fabric.pending_add();
     }
     if pop_faults.trim {
-        backend.enforce_watermark(0, ctx.fabric.threads());
+        backend.enforce_watermark(0);
     }
     if ctx.pops.is_multiple_of(LIMIT_CHECK_CADENCE) {
         let external = limits
@@ -1139,7 +1088,7 @@ pub(crate) fn worker_turn<B: BackendWorker>(
             }
         }
         if let Some(watermark) = limits.store_bytes_watermark {
-            backend.enforce_watermark(watermark, ctx.fabric.threads());
+            backend.enforce_watermark(watermark);
         }
     }
 
@@ -1210,7 +1159,7 @@ pub fn drive<B: BackendWorker>(
     let ctx_for = |id: usize| {
         let mut trace = TraceBuffer::new(limits.trace);
         trace.set_origin(start);
-        WorkerCtx::new(id, fabric, mode, limits.wake_batching, trace)
+        WorkerCtx::new(id, fabric, mode, trace)
     };
     // Arm the fault plan for exactly this run: per-run counters and a
     // per-run cancel token, shared by reference across this run's
@@ -1237,7 +1186,7 @@ pub fn drive<B: BackendWorker>(
             // *immediately* so the remaining workers observe the done
             // flag and drain instead of spinning on work the dead
             // worker will never release, then keep joining. The dead
-            // worker's report (its replica, its counters) is lost; the
+            // worker's report (its store view, its counters) is lost; the
             // partial result is assembled from the survivors.
             let mut reports = Vec::with_capacity(handles.len());
             for h in handles {

@@ -1061,7 +1061,7 @@ fn submit_flat<B: crate::pool::PoolBackend>(
 }
 
 /// Submits an m-CFA analysis of `program` (context bound `m`) to
-/// `pool` under store backend `B`, returning immediately. The pool
+/// `pool` with tenant store `B`, returning immediately. The pool
 /// drives it to the same fixpoint [`analyze_mcfa`] computes — the
 /// fixed point of a monotone transfer function is unique — while
 /// time-slicing fairly against the pool's other tenants.
@@ -1082,7 +1082,7 @@ pub fn submit_mcfa<B: crate::pool::PoolBackend>(
 }
 
 /// Submits a naive polynomial k-CFA analysis of `program` to `pool`
-/// under store backend `B`; see [`submit_mcfa`].
+/// with tenant store `B`; see [`submit_mcfa`].
 pub fn submit_poly_kcfa<B: crate::pool::PoolBackend>(
     pool: &crate::pool::AnalysisPool,
     program: Arc<CpsProgram>,

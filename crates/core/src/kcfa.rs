@@ -1153,7 +1153,8 @@ impl KcfaJob {
 }
 
 /// Submits a k-CFA analysis of `program` (context depth `k`) to `pool`
-/// under store backend `B`, returning immediately. The pool drives it
+/// with tenant store `B` ([`crate::parallel::Replicated`]), returning
+/// immediately. The pool drives it
 /// to the same fixpoint [`analyze_kcfa`] computes — the fixed point of
 /// a monotone transfer function is unique — while time-slicing fairly
 /// against the pool's other tenants.

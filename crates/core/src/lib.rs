@@ -58,7 +58,6 @@ pub use canon::{
 };
 pub use domain::{AVal, AbsBasic, CallString};
 pub use engine::{DeltaFlow, EngineLimits, EvalMode, Status};
-pub use fabric::WakeBatching;
 pub use flatcfa::{
     analyze_mcfa, analyze_poly_kcfa, submit_mcfa, submit_poly_kcfa, FlatCfaResult, FlatJob,
     FlatPolicy,
@@ -68,10 +67,7 @@ pub use naive::{
     analyze_kcfa_naive, analyze_kcfa_naive_gamma, analyze_kcfa_naive_with, Count, GammaOptions,
     NaiveLimits, NaiveResult,
 };
-pub use parallel::{
-    run_fixpoint_parallel, run_fixpoint_parallel_on, run_fixpoint_parallel_with, ParallelMachine,
-    Replicated, Sharded, StoreBackend,
-};
+pub use parallel::{run_fixpoint_parallel_on, ParallelMachine, Replicated, Sharded, StoreBackend};
 pub use pool::{AnalysisPool, JobHandle, PoolBackend, PoolConfig, PoolMetrics, PoolRun};
 pub use races::{races_kcfa, races_mcfa, races_poly_kcfa, Race, RaceKind, RaceReport};
 pub use results::Metrics;

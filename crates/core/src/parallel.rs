@@ -1,55 +1,25 @@
-//! A work-stealing parallel fixpoint engine over replicated stores —
-//! the [`Replicated`] arm of the [`StoreBackend`] pair (the other arm,
-//! one globally shared address-sharded store, lives in
-//! [`crate::shardstore`]). Scheduling — steal discipline, pinned
-//! wakeups, pending-counter termination, limit checks — is the generic
-//! [`crate::fabric`] driver; this module contributes only the
-//! store-specific half ([`fabric::BackendWorker`]).
+//! The store backends of the fixpoint fabric, one per run shape.
 //!
-//! [`run_fixpoint_parallel`] shards the worklist of [`crate::engine`]
-//! across N worker threads. The design leans on exactly the two
-//! properties PR 1's interned store introduced for this purpose:
+//! A run with **N workers** uses the shared address-sharded store
+//! ([`crate::shardstore`]), selected by [`Sharded`] — the one
+//! [`StoreBackend`] that [`run_fixpoint_parallel_on`] dispatches to.
+//! A run with **one worker** needs no sharing: the sequential engine
+//! ([`crate::engine::run_fixpoint`]) and every [`crate::pool`] tenant
+//! keep a private [`AbsStore`]. [`Replicated`] selects that private
+//! store for pool tenants (the one [`crate::pool::PoolBackend`]); its
+//! worker (this module) is the store-specific half
+//! ([`fabric::BackendWorker`]) of a one-worker [`crate::fabric`] loop.
 //!
-//! * **flow sets are immutable epoch-stamped snapshots** — every worker
-//!   owns a full [`AbsStore`] replica, so reads never cross a thread
-//!   boundary and never see a torn set;
-//! * **per-address epochs are the conflict detector** — wake queues
-//!   are deliberately dedup-free (an is-queued bitmap would have to be
-//!   kept coherent against growth arriving from remote merges), so a
-//!   configuration woken by several growth events pops several times
-//!   and the epoch gate absorbs the duplicates in O(|reads|) at pop
-//!   time.
+//! # The one-worker tenant store
 //!
-//! # How work and facts move
-//!
-//! Configurations are sharded by **first touch**: a fresh configuration
-//! is deduplicated once, globally, through the fabric's hash-sharded
-//! seen-set, entered into a stealable queue, and becomes *homed* at
-//! whichever worker first evaluates it — its dependency lists, read
-//! set, and last-run epoch live only there, and every re-evaluation
-//! (wakeup) is pinned to that home. Only never-evaluated configurations
-//! migrate between workers, so no evaluation is ever repeated on
-//! another replica and the total evaluation count stays in the same
-//! regime as the sequential engine's.
-//!
-//! Each evaluation runs against the worker's own replica. When a step
-//! grows an address, the worker wakes its *local* dependents and
-//! broadcasts the grown rows — as `(address, values)` pairs, since
-//! dense ids are replica-local — to every other worker's inbox. A
-//! worker merges inbox batches into its replica before taking new
-//! work; merges that grow an address wake that replica's dependents in
-//! turn. Every generated fact therefore reaches every replica, which is
-//! what keeps pinning sound: growth anywhere eventually becomes growth
-//! at the home replica, which re-wakes exactly the configurations that
-//! read the grown address there.
-//!
-//! # Termination
-//!
-//! The fabric's single atomic `pending` counter tracks queued tasks,
-//! in-flight evaluations, and undelivered fact batches; a task's
-//! increment is released only after all work it spawned has been
-//! counted. When an idle worker observes `pending == 0` there is
-//! provably no work anywhere and it raises the done flag.
+//! The tenant keeps the same scheduling tables the sequential engine
+//! keeps (configs, dependency lists with pruning, read sets, last-run
+//! epochs) over its own store, so reads and writes never cross a thread
+//! boundary and no message is ever sent. The fabric's wake queue is
+//! dedup-free, so a configuration woken by several growth events pops
+//! several times and the epoch gate absorbs the duplicates in
+//! O(|reads|) at pop time. When the run stops, the tenant hands its
+//! store over as the result — there is nothing to union.
 //!
 //! # Convergence
 //!
@@ -58,9 +28,7 @@
 //! as [`crate::engine::run_fixpoint`] and [`crate::reference`]; the
 //! differential tests in `tests/engine_differential.rs` enforce that on
 //! the Scheme and FJ suites, the worst-case family, and random
-//! programs. Worker replicas are equal at quiescence; the result store
-//! is still assembled by id-remapping union ([`AbsStore::merge_from`])
-//! as a defensive cross-check.
+//! programs, and `tests/pool.rs` holds pool tenants to their solo runs.
 
 use crate::engine::{
     AbstractMachine, EngineLimits, EvalMode, FixpointResult, SchedStats, TrackedStore,
@@ -68,8 +36,7 @@ use crate::engine::{
 use crate::fabric::{self, Fabric, WorkerCtx};
 use crate::fxhash::FxHashMap;
 use crate::store::AbsStore;
-use std::sync::Arc;
-use std::time::Instant;
+use std::convert::Infallible;
 
 /// An [`AbstractMachine`] that can be driven by N workers at once.
 ///
@@ -88,21 +55,10 @@ pub trait ParallelMachine: AbstractMachine + Send {
     fn absorb(&mut self, worker: Self);
 }
 
-/// Facts in transit between replicas: `(address, grown row values)`.
-/// Value ids are replica-local, so the wire format is value-level; the
-/// receiving replica re-interns (and its hash-consed ids make that one
-/// hash per distinct value).
-type FactBatch<A, V> = Vec<(A, Vec<V>)>;
-
-/// The replicated backend's inter-worker message: a fact batch shared
-/// (`Arc`, not copied) across its receivers.
-type Batch<M> = Arc<FactBatch<<M as AbstractMachine>::Addr, <M as AbstractMachine>::Val>>;
-
-/// The store-specific half of a replicated worker: a full store replica
-/// plus the same scheduling tables the sequential engine keeps
-/// (configs, dependency lists with pruning, read sets, last-run
-/// epochs). The loop that drives it is [`crate::fabric`].
-struct ReplicatedWorker<M: AbstractMachine> {
+/// The store-specific half of a pool tenant: a private store plus the
+/// scheduling tables of the sequential engine. One worker owns it, so
+/// it has no inter-worker messages ([`Infallible`]).
+struct LocalWorker<M: AbstractMachine> {
     machine: M,
     store: AbsStore<M::Addr, M::Val>,
     configs: Vec<M::Config>,
@@ -110,8 +66,7 @@ struct ReplicatedWorker<M: AbstractMachine> {
     deps: Vec<Vec<usize>>,
     config_reads: Vec<Vec<u32>>,
     last_run_epoch: Vec<Option<u64>>,
-    /// Scratch for [`ReplicatedWorker::wake_dependents`], recycled
-    /// across calls.
+    /// Scratch for the woken dependents, recycled across evaluations.
     woken: Vec<usize>,
     /// Successor scratch, recycled across evaluations.
     successors: Vec<M::Config>,
@@ -119,15 +74,9 @@ struct ReplicatedWorker<M: AbstractMachine> {
     bufs: (Vec<u32>, Vec<u32>, Vec<u32>),
 }
 
-impl<M> ReplicatedWorker<M>
-where
-    M: ParallelMachine,
-    M::Config: Send + Sync,
-    M::Addr: Send + Sync + Ord,
-    M::Val: Send + Sync,
-{
+impl<M: ParallelMachine> LocalWorker<M> {
     fn new(machine: M) -> Self {
-        ReplicatedWorker {
+        LocalWorker {
             machine,
             store: AbsStore::new(),
             configs: Vec::new(),
@@ -140,75 +89,19 @@ where
             bufs: Default::default(),
         }
     }
-
-    /// Wakes the local dependents of the (sorted, unique) grown address
-    /// ids. Wakeups are pinned here — the dependents' scheduling state
-    /// lives in this replica — and carry no is-queued dedup: the epoch
-    /// gate disarms duplicates at pop time.
-    fn wake_dependents(&mut self, grown: &[u32], ctx: &mut WorkerCtx<'_, M::Config, Batch<M>>) {
-        let woken = &mut self.woken;
-        woken.clear();
-        for &a in grown {
-            if let Some(dependents) = self.deps.get(a as usize) {
-                woken.extend_from_slice(dependents);
-            }
-        }
-        woken.sort_unstable();
-        woken.dedup();
-        if !woken.is_empty() {
-            ctx.trace.wake_batch(woken.len() as u64);
-        }
-        for &j in woken.iter() {
-            ctx.wake_local(j);
-        }
-    }
-
-    /// Broadcasts the grown rows of this step to every other replica.
-    /// Rows (not deltas) keep the wire format independent of join
-    /// internals; receiving joins dedup for free. The batch is built
-    /// once and shared behind an `Arc` — receivers read it in place.
-    fn broadcast(&self, grown: &[u32], ctx: &mut WorkerCtx<'_, M::Config, Batch<M>>) {
-        let n = ctx.threads();
-        if n == 1 || grown.is_empty() {
-            return;
-        }
-        let batch: Batch<M> = Arc::new(
-            grown
-                .iter()
-                .map(|&a| {
-                    let addr = self.store.addr(a).clone();
-                    let values = self
-                        .store
-                        .flow_by_id(a)
-                        .iter()
-                        .map(|id| self.store.val(id).clone())
-                        .collect();
-                    (addr, values)
-                })
-                .collect(),
-        );
-        for other in 0..n {
-            if other == ctx.id() {
-                continue;
-            }
-            ctx.send(other, Arc::clone(&batch));
-        }
-    }
 }
 
-impl<M> fabric::BackendWorker for ReplicatedWorker<M>
+impl<M> fabric::BackendWorker for LocalWorker<M>
 where
     M: ParallelMachine,
     M::Config: Send + Sync,
-    M::Addr: Send + Sync + Ord,
+    M::Addr: Send + Sync,
     M::Val: Send + Sync,
 {
     type Config = M::Config;
-    type Msg = Batch<M>;
+    type Msg = Infallible;
 
-    fn seed(&mut self, _ctx: &mut WorkerCtx<'_, M::Config, Batch<M>>) {
-        // Every replica is seeded identically, so seed facts need no
-        // broadcast.
+    fn seed(&mut self, _ctx: &mut WorkerCtx<'_, M::Config, Infallible>) {
         let mut tracked =
             TrackedStore::wrap(&mut self.store, None, Vec::new(), Vec::new(), Vec::new());
         self.machine.seed(&mut tracked);
@@ -236,21 +129,15 @@ where
     }
 
     /// Evaluates one task (by local index): step, dependency
-    /// registration with pruning, successor dedup, local wakeups, fact
-    /// broadcast. Mirrors one iteration of
-    /// [`crate::engine::run_fixpoint`].
-    fn evaluate(&mut self, i: usize, ctx: &mut WorkerCtx<'_, M::Config, Batch<M>>) {
+    /// registration with pruning, successor dedup, wakeups. Mirrors one
+    /// iteration of [`crate::engine::run_fixpoint`].
+    fn evaluate(&mut self, i: usize, ctx: &mut WorkerCtx<'_, M::Config, Infallible>) {
         let epoch_at_start = self.store.epoch();
         let config = self.configs[i].clone();
         self.successors.clear();
         let (reads_buf, grew_buf, delta_buf) = &mut self.bufs;
         reads_buf.clear();
         grew_buf.clear();
-        // The semi-naive baseline works per replica: this config is
-        // pinned here, its last evaluation ran against this store, and
-        // facts merged from other replicas land in this store's delta
-        // logs — so the epochs line up exactly as in the sequential
-        // engine.
         let baseline = match ctx.mode() {
             EvalMode::SemiNaive => self.last_run_epoch[i],
             EvalMode::FullReeval => None,
@@ -270,166 +157,52 @@ where
         ctx.delta_applies += step_applies;
         self.last_run_epoch[i] = Some(epoch_at_start);
 
-        // Dependency registration with stale-dep pruning — the shared
-        // logic of both engines.
         crate::engine::register_deps(&mut self.deps, &mut self.config_reads, i, &mut self.bufs.0);
 
         ctx.submit_fresh(&mut self.successors);
 
-        let mut grew = std::mem::take(&mut self.bufs.1);
-        grew.sort_unstable();
-        grew.dedup();
-        self.wake_dependents(&grew, ctx);
-        self.broadcast(&grew, ctx);
-        self.bufs.1 = grew;
+        // Wake the dependents of the grown addresses, without is-queued
+        // dedup: the epoch gate disarms duplicates at pop time.
+        let woken = &mut self.woken;
+        woken.clear();
+        for &a in &self.bufs.1 {
+            if let Some(dependents) = self.deps.get(a as usize) {
+                woken.extend_from_slice(dependents);
+            }
+        }
+        woken.sort_unstable();
+        woken.dedup();
+        if !woken.is_empty() {
+            ctx.trace.wake_batch(woken.len() as u64);
+        }
+        for &j in woken.iter() {
+            ctx.wake_local(j);
+        }
     }
 
     fn describe(&self, i: usize) -> String {
         format!("{:?}", self.configs[i])
     }
 
-    /// Merges one delivered fact batch into the replica and wakes the
-    /// dependents of every address that grew. The batch is shared with
-    /// the other receivers ([`std::sync::Arc`]); values are cloned only
-    /// when first interned locally.
-    fn on_msg(&mut self, batch: Batch<M>, ctx: &mut WorkerCtx<'_, M::Config, Batch<M>>) {
-        let mut grown: Vec<u32> = Vec::new();
-        let mut ids: Vec<u32> = Vec::new();
-        let mut delta: Vec<u32> = Vec::new();
-        for (addr, values) in batch.iter() {
-            let addr_id = self.store.addr_id(addr);
-            ids.clear();
-            ids.extend(values.iter().map(|v| self.store.val_id_ref(v)));
-            ids.sort_unstable();
-            ids.dedup();
-            delta.clear();
-            if self.store.join_ids(addr_id, &ids, &mut delta) {
-                grown.push(addr_id);
-            }
-        }
-        grown.sort_unstable();
-        grown.dedup();
-        self.wake_dependents(&grown, ctx);
+    fn on_msg(&mut self, msg: Infallible, _ctx: &mut WorkerCtx<'_, M::Config, Infallible>) {
+        match msg {}
     }
 
-    fn enforce_watermark(&mut self, watermark: usize, threads: usize) {
-        // Per replica: the broadcast design multiplies log memory by
-        // the worker count, so each replica holds itself to its share
-        // (O(1) — log bytes are tracked incrementally).
-        let share = watermark / threads;
-        if self.store.delta_log_bytes() > share {
+    fn enforce_watermark(&mut self, watermark: usize) {
+        if self.store.delta_log_bytes() > watermark {
             self.store.trim_delta_logs();
         }
     }
 
     fn finish(&mut self, sched: &mut SchedStats) {
-        // Measure the replica before the driver unions it away: the sum
-        // across workers is the memory the replication design pays.
         sched.store_resident_bytes = self.store.approx_bytes() as u64;
     }
 }
 
-/// Runs `machine` to its least fixed point on `threads` worker threads
-/// (or until a limit fires).
-///
-/// The returned [`FixpointResult`] matches [`crate::engine::run_fixpoint`]
-/// on configurations and store facts (the fixed point is unique);
-/// `configs` order is arbitrary, `iterations`/`skipped`/`wakeups` are
-/// summed across workers, and `delta_facts` counts evaluation-side
-/// growth per replica (two workers deriving the same fact independently
-/// both count it).
-pub fn run_fixpoint_parallel<M>(
-    machine: &mut M,
-    threads: usize,
-    limits: EngineLimits,
-) -> FixpointResult<M::Config, M::Addr, M::Val>
-where
-    M: ParallelMachine,
-    M::Config: Send + Sync,
-    M::Addr: Send + Sync + Ord,
-    M::Val: Send + Sync,
-{
-    run_fixpoint_parallel_with(machine, threads, limits, EvalMode::SemiNaive)
-}
-
-/// [`run_fixpoint_parallel`] under an explicit [`EvalMode`] — the
-/// fixpoint is mode-independent; the mode only changes how much of the
-/// product each re-evaluation redoes.
-pub fn run_fixpoint_parallel_with<M>(
-    machine: &mut M,
-    threads: usize,
-    limits: EngineLimits,
-    mode: EvalMode,
-) -> FixpointResult<M::Config, M::Addr, M::Val>
-where
-    M: ParallelMachine,
-    M::Config: Send + Sync,
-    M::Addr: Send + Sync + Ord,
-    M::Val: Send + Sync,
-{
-    let start = Instant::now();
-    let threads = threads.max(1);
-
-    let fabric: Fabric<M::Config, Batch<M>> = Fabric::new(threads);
-    fabric.submit_root(machine.initial());
-
-    let backends: Vec<ReplicatedWorker<M>> = (0..threads)
-        .map(|_| ReplicatedWorker::new(machine.fork()))
-        .collect();
-    let reports = fabric::drive(&fabric, backends, mode, &limits, start);
-    let (status, configs) = fabric.finish();
-
-    let mut store: AbsStore<M::Addr, M::Val> = AbsStore::new();
-    let (mut iterations, mut skipped, mut wakeups) = (0u64, 0u64, 0u64);
-    let (mut delta_facts, mut delta_applies) = (0u64, 0u64);
-    let mut sched = SchedStats::default();
-    let mut rings = Vec::new();
-    for report in reports {
-        iterations += report.iterations;
-        skipped += report.skipped;
-        wakeups += report.wakeups;
-        delta_facts += report.delta_facts;
-        delta_applies += report.delta_applies;
-        sched.absorb(&report.sched);
-        rings.push(report.trace);
-        store.merge_from(&report.backend.store);
-        machine.absorb(report.backend.machine);
-    }
-
-    FixpointResult {
-        configs,
-        store,
-        status,
-        iterations,
-        skipped,
-        wakeups,
-        delta_facts,
-        delta_applies,
-        sched,
-        elapsed: start.elapsed(),
-        queue_wait: std::time::Duration::ZERO,
-        trace: crate::telemetry::RunTrace::from_buffers(rings),
-    }
-}
-
-/// A parallel store backend, as a type-level selector: how N workers
-/// share the abstract store.
-///
-/// [`run_fixpoint_parallel_on`] is generic over this, so callers (the
-/// differential harness, the benchmarks, the CI backend matrix) can
-/// run the *same* machine through both designs:
-///
-/// * [`Replicated`] — per-worker store replicas with all-to-all fact
-///   broadcast (this module). Memory O(program × threads); no shared
-///   rows, so evaluations never contend on a lock.
-/// * [`Sharded`] — one globally shared, address-sharded store
-///   ([`crate::shardstore`]). Memory O(program); facts are interned
-///   once and never re-joined per replica; writes and wakeups route
-///   point-to-point to row owners.
+/// A multi-worker store backend, as a type-level selector: how N
+/// workers share the abstract store. [`Sharded`] is the one
+/// implementation; [`run_fixpoint_parallel_on`] is generic over this.
 pub trait StoreBackend {
-    /// Short backend name (bench columns, env-var selection).
-    const NAME: &'static str;
-
     /// Runs `machine` to its least fixed point on `threads` workers
     /// under this backend.
     fn run_fixpoint<M>(
@@ -445,29 +218,10 @@ pub trait StoreBackend {
         M::Val: Send + Sync;
 }
 
-/// Per-worker store replicas + all-to-all fact broadcast (the backend
-/// implemented by this module).
+/// The pool tenant's store: one private [`AbsStore`] per tenant, driven
+/// by a one-worker fabric loop (this module).
 #[derive(Copy, Clone, Debug, Default)]
 pub struct Replicated;
-
-impl StoreBackend for Replicated {
-    const NAME: &'static str = "replicated";
-
-    fn run_fixpoint<M>(
-        machine: &mut M,
-        threads: usize,
-        limits: EngineLimits,
-        mode: EvalMode,
-    ) -> FixpointResult<M::Config, M::Addr, M::Val>
-    where
-        M: ParallelMachine,
-        M::Config: Send + Sync,
-        M::Addr: Send + Sync + Ord,
-        M::Val: Send + Sync,
-    {
-        run_fixpoint_parallel_with(machine, threads, limits, mode)
-    }
-}
 
 impl crate::pool::PoolBackend for Replicated {
     fn tenant<M>(
@@ -482,23 +236,19 @@ impl crate::pool::PoolBackend for Replicated {
         M::Addr: Send + Sync + Ord + 'static,
         M::Val: Send + Sync + 'static,
     {
-        let fabric: Fabric<M::Config, Batch<M>> = Fabric::new(1);
+        let fabric: Fabric<M::Config, Infallible> = Fabric::new(1);
         fabric.submit_root(machine.initial());
-        let backend = ReplicatedWorker::new(machine.fork());
-        // Mirrors the single-worker tail of run_fixpoint_parallel_with:
-        // merge the replica into a fresh store by id-remapping union,
-        // absorb the worker machine — so a pooled fixpoint is assembled
-        // exactly like a solo one.
+        let backend = LocalWorker::new(machine.fork());
+        // The tenant's store *is* the result: hand it over and absorb
+        // the worker machine.
         let assemble =
-            move |backend: ReplicatedWorker<M>, status, configs, totals: crate::pool::RunTotals| {
-                let mut store: AbsStore<M::Addr, M::Val> = AbsStore::new();
-                store.merge_from(&backend.store);
+            move |backend: LocalWorker<M>, status, configs, totals: crate::pool::RunTotals| {
                 machine.absorb(backend.machine);
                 crate::pool::PoolRun {
                     machine,
                     fixpoint: FixpointResult {
                         configs,
-                        store,
+                        store: backend.store,
                         status,
                         iterations: totals.iterations,
                         skipped: totals.skipped,
@@ -523,8 +273,6 @@ impl crate::pool::PoolBackend for Replicated {
 pub struct Sharded;
 
 impl StoreBackend for Sharded {
-    const NAME: &'static str = "sharded";
-
     fn run_fixpoint<M>(
         machine: &mut M,
         threads: usize,
@@ -541,22 +289,18 @@ impl StoreBackend for Sharded {
     }
 }
 
-/// [`run_fixpoint_parallel_with`], generic over the store backend.
+/// Runs `machine` to its least fixed point on `threads` workers under
+/// the store backend `B`.
 ///
 /// # Examples
 ///
 /// ```
-/// use cfa_core::engine::{EngineLimits, EvalMode};
+/// use cfa_core::engine::{run_fixpoint, EngineLimits, EvalMode};
 /// use cfa_core::kcfa::KCfaMachine;
-/// use cfa_core::parallel::{run_fixpoint_parallel_on, Replicated, Sharded};
+/// use cfa_core::parallel::{run_fixpoint_parallel_on, Sharded};
 ///
 /// let p = cfa_syntax::compile("((lambda (x) x) 1)").unwrap();
-/// let rep = run_fixpoint_parallel_on::<Replicated, _>(
-///     &mut KCfaMachine::new(&p, 1),
-///     2,
-///     EngineLimits::default(),
-///     EvalMode::SemiNaive,
-/// );
+/// let seq = run_fixpoint(&mut KCfaMachine::new(&p, 1), EngineLimits::default());
 /// let sh = run_fixpoint_parallel_on::<Sharded, _>(
 ///     &mut KCfaMachine::new(&p, 1),
 ///     2,
@@ -564,9 +308,9 @@ impl StoreBackend for Sharded {
 ///     EvalMode::SemiNaive,
 /// );
 /// // The fixed point of a monotone transfer function is unique, so
-/// // both backends reach identical facts.
-/// assert_eq!(rep.store.fact_count(), sh.store.fact_count());
-/// assert_eq!(rep.config_count(), sh.config_count());
+/// // both engines reach identical facts.
+/// assert_eq!(seq.store.fact_count(), sh.store.fact_count());
+/// assert_eq!(seq.config_count(), sh.config_count());
 /// ```
 pub fn run_fixpoint_parallel_on<B, M>(
     machine: &mut M,
@@ -587,76 +331,17 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_fixpoint, Status};
-    use std::time::Duration;
-
-    /// The toy machine of the sequential engine tests.
-    #[derive(Clone)]
-    struct Counter {
-        n: u32,
-    }
-
-    impl AbstractMachine for Counter {
-        type Config = u32;
-        type Addr = u32;
-        type Val = u32;
-
-        fn initial(&self) -> u32 {
-            0
-        }
-
-        fn step(&mut self, c: &u32, s: &mut TrackedStore<'_, u32, u32>, out: &mut Vec<u32>) {
-            let c = *c;
-            if c < self.n {
-                s.join(&(c % 3), [c]);
-                out.push(c + 1);
-            } else {
-                let _ = s.read(&0);
-            }
-        }
-    }
-
-    impl ParallelMachine for Counter {
-        fn fork(&self) -> Self {
-            self.clone()
-        }
-        fn absorb(&mut self, _worker: Self) {}
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_counter() {
-        for threads in [1, 2, 4] {
-            let seq = run_fixpoint(&mut Counter { n: 40 }, EngineLimits::default());
-            let par =
-                run_fixpoint_parallel(&mut Counter { n: 40 }, threads, EngineLimits::default());
-            assert_eq!(par.status, Status::Completed, "threads={threads}");
-            let mut seq_configs = seq.configs.clone();
-            let mut par_configs = par.configs.clone();
-            seq_configs.sort_unstable();
-            par_configs.sort_unstable();
-            assert_eq!(seq_configs, par_configs, "threads={threads}");
-            for addr in 0..3u32 {
-                assert_eq!(
-                    seq.store.read(&addr),
-                    par.store.read(&addr),
-                    "threads={threads}"
-                );
-            }
-            assert_eq!(
-                seq.store.fact_count(),
-                par.store.fact_count(),
-                "threads={threads}"
-            );
-        }
-    }
+    use crate::engine::Status;
+    use crate::pool::{AnalysisPool, PoolConfig};
 
     /// The reader (scheduled first) reads two addresses that two later
-    /// configurations grow one step apart. The parallel queues carry no
+    /// configurations grow one step apart. The wake queue carries no
     /// is-queued bitmap, so the second growth enqueues a second wakeup;
     /// by the time it pops, the first re-evaluation has already seen
-    /// both values and the epoch gate must skip it. With one worker the
-    /// schedule is deterministic: root, reader, two growers, the
-    /// justified re-run, then exactly one gate-skipped duplicate.
+    /// both values and the epoch gate must skip it. A pool tenant runs
+    /// one worker, so the schedule is deterministic: root, reader, two
+    /// growers, the justified re-run, then exactly one gate-skipped
+    /// duplicate.
     struct TwoGrowers;
 
     impl AbstractMachine for TwoGrowers {
@@ -692,7 +377,15 @@ mod tests {
 
     #[test]
     fn epoch_gate_fires_on_duplicate_wakeups() {
-        let r = run_fixpoint_parallel(&mut TwoGrowers, 1, EngineLimits::default());
+        let pool = AnalysisPool::new(PoolConfig {
+            threads: 1,
+            ..PoolConfig::default()
+        });
+        let r = pool
+            .submit::<Replicated, _>(TwoGrowers, EngineLimits::default(), EvalMode::SemiNaive)
+            .wait()
+            .fixpoint;
+        pool.shutdown();
         assert_eq!(r.status, Status::Completed);
         assert_eq!(r.wakeups, 2, "each grower wakes the reader once");
         assert_eq!(r.skipped, 1, "the duplicate wakeup dies at the epoch gate");
@@ -702,116 +395,5 @@ mod tests {
         );
         assert_eq!(r.store.read(&100), [7].into_iter().collect());
         assert_eq!(r.store.read(&101), [8].into_iter().collect());
-    }
-
-    /// Feedback machine: the fixpoint needs repeated re-evaluations, so
-    /// wakeups and fact broadcasts cross worker boundaries constantly.
-    struct Feedback;
-
-    impl AbstractMachine for Feedback {
-        type Config = u8;
-        type Addr = u8;
-        type Val = u8;
-
-        fn initial(&self) -> u8 {
-            0
-        }
-
-        fn step(&mut self, c: &u8, s: &mut TrackedStore<'_, u8, u8>, out: &mut Vec<u8>) {
-            if *c == 0 {
-                s.join(&0, [1u8]);
-                out.extend([1, 2]);
-            } else {
-                let seen = s.read(&(*c % 2));
-                let next: Vec<u8> = seen
-                    .iter()
-                    .map(|id| *s.val(id))
-                    .filter(|&v| v < 40)
-                    .map(|v| v + 1)
-                    .collect();
-                s.join(&((*c + 1) % 2), next);
-            }
-        }
-    }
-
-    impl ParallelMachine for Feedback {
-        fn fork(&self) -> Self {
-            Feedback
-        }
-        fn absorb(&mut self, _worker: Self) {}
-    }
-
-    #[test]
-    fn parallel_feedback_converges_across_thread_counts() {
-        let seq = run_fixpoint(&mut Feedback, EngineLimits::default());
-        for threads in [1, 2, 4] {
-            let par = run_fixpoint_parallel(&mut Feedback, threads, EngineLimits::default());
-            assert_eq!(par.status, Status::Completed, "threads={threads}");
-            assert_eq!(par.store.read(&0), seq.store.read(&0), "threads={threads}");
-            assert_eq!(par.store.read(&1), seq.store.read(&1), "threads={threads}");
-            assert_eq!(par.config_count(), seq.config_count(), "threads={threads}");
-        }
-    }
-
-    /// Both drain policies compute the same fixpoint — bounded batches
-    /// only reorder deliveries relative to evaluations.
-    #[test]
-    fn wake_batching_policies_agree() {
-        use crate::fabric::WakeBatching;
-        let seq = run_fixpoint(&mut Feedback, EngineLimits::default());
-        for batching in [WakeBatching::Adaptive, WakeBatching::DrainAll] {
-            let limits = EngineLimits {
-                wake_batching: batching,
-                ..EngineLimits::default()
-            };
-            let par = run_fixpoint_parallel(&mut Feedback, 3, limits);
-            assert_eq!(par.status, Status::Completed, "{batching:?}");
-            assert_eq!(par.store.read(&0), seq.store.read(&0), "{batching:?}");
-            assert_eq!(par.store.read(&1), seq.store.read(&1), "{batching:?}");
-        }
-    }
-
-    #[test]
-    fn iteration_limit_fires_in_parallel() {
-        let r = run_fixpoint_parallel(
-            &mut Counter { n: 1_000_000 },
-            2,
-            EngineLimits::iterations(100),
-        );
-        assert_eq!(r.status, Status::IterationLimit);
-        assert!(
-            r.iterations <= 100,
-            "evaluations counted globally: {}",
-            r.iterations
-        );
-    }
-
-    #[test]
-    fn timeout_fires_in_parallel() {
-        struct Spin;
-        impl AbstractMachine for Spin {
-            type Config = u64;
-            type Addr = u64;
-            type Val = u64;
-            fn initial(&self) -> u64 {
-                0
-            }
-            fn step(&mut self, c: &u64, _s: &mut TrackedStore<'_, u64, u64>, out: &mut Vec<u64>) {
-                std::thread::sleep(Duration::from_millis(1));
-                out.push(c + 1);
-            }
-        }
-        impl ParallelMachine for Spin {
-            fn fork(&self) -> Self {
-                Spin
-            }
-            fn absorb(&mut self, _worker: Self) {}
-        }
-        let r = run_fixpoint_parallel(
-            &mut Spin,
-            2,
-            EngineLimits::timeout(Duration::from_millis(50)),
-        );
-        assert_eq!(r.status, Status::TimedOut);
     }
 }

@@ -1,28 +1,30 @@
 //! The multi-tenant analysis pool: one long-lived worker pool
 //! concurrently driving many independent fixpoint instances.
 //!
-//! The direct entry points ([`crate::parallel`], [`crate::shardstore`])
-//! give one run every worker thread for its whole lifetime — the right
-//! shape for one big analysis, the wrong one for a service running
-//! thousands of small ones (the realistic k-CFA workload mix, per the
-//! paper's complexity results: many small higher-order programs, each
-//! cheap, arriving concurrently). [`AnalysisPool`] inverts the
-//! ownership: the pool's threads are the long-lived resource, and each
-//! submitted analysis is a **tenant** that borrows them in bounded
-//! quanta.
+//! The direct entry points ([`crate::engine::run_fixpoint`],
+//! [`crate::shardstore`]) give one run its threads for its whole
+//! lifetime — the right shape for one big analysis, the wrong one for
+//! a service running thousands of small ones (the realistic k-CFA
+//! workload mix, per the paper's complexity results: many small
+//! higher-order programs, each cheap, arriving concurrently).
+//! [`AnalysisPool`] inverts the ownership: the pool's threads are the
+//! long-lived resource, and each submitted analysis is a **tenant**
+//! that borrows them in bounded quanta.
 //!
 //! # Per-run state split
 //!
 //! Everything that used to be "the run" — pending counter, dedup
 //! seen-set, status, stop flag, watchdog meters — lives in the
 //! tenant's own private [`Fabric`]; the pool shares only threads.
-//! A tenant is a parked `fabric::WorkerState` plus its backend
-//! worker: whichever pool thread picks the tenant up next resumes the
-//! state against the tenant's fabric (`WorkerCtx::resume`), runs a
-//! bounded quantum of `fabric::worker_turn`s, and parks it again. This is
-//! exactly the loop the dedicated engines run — one turn is one unit
-//! of either — so a pooled fixpoint is the same computation as a solo
-//! run and reaches the identical (unique) fixpoint.
+//! A tenant is a parked `fabric::WorkerState` plus its one backend
+//! worker, which keeps a private store ([`crate::parallel::Replicated`]):
+//! whichever pool thread picks the tenant up next resumes the state
+//! against the tenant's fabric (`WorkerCtx::resume`), runs a bounded
+//! quantum of `fabric::worker_turn`s, and parks it again. This is
+//! exactly the loop the sharded engine's workers run — one turn is one
+//! unit of either — and a monotone transfer function has one least
+//! fixpoint, so a pooled run reaches the same fixpoint as a solo run.
+//! When the run stops, the tenant hands its store over as the result.
 //!
 //! # Fairness
 //!
@@ -71,7 +73,7 @@ use crate::engine::{
     AbstractMachine, CancelToken, EngineLimits, EvalMode, FixpointResult, SchedStats, Status,
 };
 use crate::fabric::{self, ArmedFaultPlan, BackendWorker, Fabric, LockRecovered, Turn, WorkerCtx};
-use crate::parallel::{ParallelMachine, StoreBackend};
+use crate::parallel::ParallelMachine;
 use crate::telemetry::{RunTrace, TraceBuffer};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -140,7 +142,7 @@ pub enum Quantum {
 /// One admitted analysis, type-erased: the pool schedules these without
 /// knowing the machine, the store backend, or the result type.
 ///
-/// Not part of the supported API — implemented by the store backends
+/// Not part of the supported API — implemented by the tenant store
 /// (via [`PoolBackend`]) and consumed by the pool's scheduler.
 #[doc(hidden)]
 pub trait TenantRun: Send {
@@ -181,8 +183,8 @@ impl<M: AbstractMachine> std::fmt::Debug for PoolRun<M> {
     }
 }
 
-/// Run-scheduling totals handed to a backend's assemble closure when a
-/// tenant finishes.
+/// Run-scheduling totals handed to the tenant's assemble closure when
+/// it finishes.
 pub(crate) struct RunTotals {
     pub(crate) iterations: u64,
     pub(crate) skipped: u64,
@@ -195,11 +197,9 @@ pub(crate) struct RunTotals {
     pub(crate) trace: RunTrace,
 }
 
-/// A store backend that can host pool tenants — implemented by
-/// [`crate::parallel::Replicated`] and [`crate::parallel::Sharded`],
-/// selecting how a tenant's store is laid out exactly as
-/// [`StoreBackend`] does for the dedicated engines.
-pub trait PoolBackend: StoreBackend {
+/// The store a pool tenant keeps, as a type-level selector — implemented
+/// by [`crate::parallel::Replicated`], one private store per tenant.
+pub trait PoolBackend {
     /// Builds the type-erased tenant that drives `machine` to its
     /// fixpoint under this backend, depositing a [`PoolRun`] when done.
     /// Internal plumbing for [`AnalysisPool::submit`].
@@ -217,10 +217,10 @@ pub trait PoolBackend: StoreBackend {
         M::Val: Send + Sync + 'static;
 }
 
-/// The generic single-slot tenant both backends instantiate: a private
-/// one-worker [`Fabric`], the backend worker homed on it, and the
-/// parked loop state the quanta resume. `G` assembles the backend's
-/// final state into the result `T` once the run stops.
+/// A single-slot tenant: a private one-worker [`Fabric`], the backend
+/// worker homed on it, and the parked loop state the quanta resume.
+/// `G` assembles the backend's final state into the result `T` once
+/// the run stops.
 pub(crate) struct SoloTenant<W, T, G>
 where
     W: BackendWorker,
@@ -286,8 +286,7 @@ where
             // queue wait never skews its timeline.
             state.trace.set_origin(start);
         }
-        let mut ctx =
-            WorkerCtx::resume(0, &self.fabric, self.mode, self.limits.wake_batching, state);
+        let mut ctx = WorkerCtx::resume(0, &self.fabric, self.mode, state);
         ctx.trace.tenant_resume(ctx.pops());
         if !self.seeded {
             self.seeded = true;
@@ -566,7 +565,7 @@ impl AnalysisPool {
         AnalysisPool { shared, workers }
     }
 
-    /// Submits `machine` for analysis under store backend `B`,
+    /// Submits `machine` for analysis with tenant store `B`,
     /// returning immediately with a [`JobHandle`]. Blocks only when the
     /// pool is at its admission bound ([`PoolConfig::queue_depth`]).
     ///

@@ -1,15 +1,19 @@
 //! The sharded parallel fixpoint engine: N workers race monotonically
-//! on **one** [`SharedStore`] instead of broadcasting facts between N
-//! replicas. Scheduling (steal discipline, pinned wakeups, termination,
-//! limit checks) is the generic [`crate::fabric`] driver; this module
-//! contributes the store-specific half ([`fabric::BackendWorker`]).
+//! on **one** [`SharedStore`]. Scheduling (steal discipline, pinned
+//! wakeups, termination, limit checks) is the generic [`crate::fabric`]
+//! loop; this module contributes the store-specific half
+//! ([`fabric::BackendWorker`]).
 //!
 //! # How work and facts move
 //!
-//! Configurations are sharded by first touch exactly as in
-//! [`crate::parallel`]: global hash-sharded dedup, stealable fresh
-//! queues, wakeups pinned to the home worker. What changes is the
-//! store side:
+//! Configurations are sharded by **first touch**: a fresh configuration
+//! is deduplicated once, globally, through the fabric's hash-sharded
+//! seen-set, entered into a stealable queue, and becomes *homed* at
+//! whichever worker first evaluates it — its read set and last-run
+//! epochs live only there, and every re-evaluation (wakeup) is pinned
+//! to that home. Only never-evaluated configurations migrate between
+//! workers, so no evaluation is ever repeated elsewhere. On the store
+//! side:
 //!
 //! * **reads** go straight to the shared store from any thread
 //!   (epoch-stamped snapshots under a per-row mutex, epoch gates on a
@@ -17,17 +21,16 @@
 //! * **writes** go through the shared row from any thread (the row
 //!   mutex serializes them), so a worker's successors immediately read
 //!   the arguments their parent just bound — the property that keeps
-//!   the evaluation count in the replicated engine's regime. No fact
-//!   is ever re-interned or re-joined per replica, which removes the
-//!   all-to-all broadcast quadratic and makes store memory O(program)
-//!   instead of O(program × threads). What *is* routed to the shard
-//!   that owns a grown row is the **growth notification**
-//!   (`Msg::Grew`) — addresses, never facts;
+//!   the evaluation count in the sequential engine's regime. A fact is
+//!   interned once and joined once, so store memory is O(program), not
+//!   O(program × threads). What *is* routed to the shard that owns a
+//!   grown row is the **growth notification** (`Msg::Grew`) —
+//!   addresses, never facts;
 //! * **dependents are indexed at the row's owner**: after an
 //!   evaluation, the home worker registers `(worker, config)` in the
 //!   owner's dependency lists (`Msg::Deps`), and growth wakes exactly
 //!   the registered dependents, point-to-point (`Msg::Wakes`) —
-//!   never every replica.
+//!   never every worker.
 //!
 //! # The stale-snapshot race
 //!
@@ -42,7 +45,7 @@
 //! (`tests/store_backends.rs` forces this interleaving with a
 //! rendezvous machine.)
 //!
-//! # Semi-naive deltas without replicas
+//! # Semi-naive deltas on a shared store
 //!
 //! A configuration's baseline is not one global epoch (racy on a shared
 //! store — a concurrent owner may publish growth stamped below a
@@ -56,16 +59,14 @@
 //! The fabric's single pending counter carries over unchanged: queued
 //! tasks + in-flight evaluations + undelivered messages + queued
 //! wakeups; `pending == 0` observed by an idle worker proves global
-//! quiescence. The result needs **no `merge_from` union** — the shared
-//! store *is* the fixpoint; it drains into an ordinary
-//! [`crate::store::AbsStore`] without re-interning a value.
+//! quiescence. The shared store *is* the fixpoint; it drains into an
+//! ordinary [`crate::store::AbsStore`] without re-interning a value.
 
 use super::store::{ShardBufs, ShardView, SharedStore};
 use crate::engine::{EngineLimits, EvalMode, FixpointResult, SchedStats, TrackedStore};
 use crate::fabric::{self, Fabric, WorkerCtx};
 use crate::fxhash::FxHashMap;
 use crate::parallel::ParallelMachine;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// An inter-worker message. Everything is id-level — the global
@@ -100,13 +101,11 @@ struct DepBatch {
 /// The store-specific half of a sharded worker: the home of the
 /// configurations it first evaluated (their read sets) and the owner of
 /// its row shard (their dependency lists). The loop that drives it is
-/// [`crate::fabric`]. The store is held by `Arc` — shared ownership is
-/// what lets a pool tenant (a `'static` [`crate::pool::TenantRun`])
-/// outlive the submitting stack frame; the dedicated engine recovers
-/// unique ownership with `Arc::try_unwrap` once the workers return.
-struct ShardedWorker<M: ParallelMachine> {
+/// [`crate::fabric`]; the workers borrow the store for the run, which
+/// [`fabric::drive`] scopes.
+struct ShardedWorker<'s, M: ParallelMachine> {
     machine: M,
-    store: Arc<SharedStore<M::Addr, M::Val>>,
+    store: &'s SharedStore<M::Addr, M::Val>,
     /// Locally homed configurations.
     configs: Vec<M::Config>,
     index: FxHashMap<M::Config, usize>,
@@ -132,14 +131,14 @@ struct ShardedWorker<M: ParallelMachine> {
     value_joins: u64,
 }
 
-impl<M> ShardedWorker<M>
+impl<'s, M> ShardedWorker<'s, M>
 where
     M: ParallelMachine,
     M::Config: Send + Sync,
     M::Addr: Send + Sync + Ord,
     M::Val: Send + Sync,
 {
-    fn new(machine: M, store: Arc<SharedStore<M::Addr, M::Val>>) -> Self {
+    fn new(machine: M, store: &'s SharedStore<M::Addr, M::Val>) -> Self {
         let threads = store.shard_count();
         ShardedWorker {
             machine,
@@ -319,7 +318,7 @@ where
     }
 }
 
-impl<M> fabric::BackendWorker for ShardedWorker<M>
+impl<M> fabric::BackendWorker for ShardedWorker<'_, M>
 where
     M: ParallelMachine,
     M::Config: Send + Sync,
@@ -334,7 +333,7 @@ where
         // the rows it owns — each row is seeded exactly once, by its
         // owner, with no message traffic.
         let bufs = std::mem::take(&mut self.bufs);
-        let view = ShardView::new(&self.store, ctx.id(), &[], false, true, bufs);
+        let view = ShardView::new(self.store, ctx.id(), &[], false, true, bufs);
         let mut tracked = TrackedStore::wrap_shard(view);
         self.machine.seed(&mut tracked);
         let (view, _, _) = tracked.into_shard_parts();
@@ -375,7 +374,7 @@ where
         let mut bufs = std::mem::take(&mut self.bufs);
         bufs.time_locks = ctx.trace.enabled();
         let prev_reads: &[(u32, u64)] = if baseline { &self.config_reads[i] } else { &[] };
-        let view = ShardView::new(&self.store, ctx.id(), prev_reads, baseline, false, bufs);
+        let view = ShardView::new(self.store, ctx.id(), prev_reads, baseline, false, bufs);
         let mut tracked = TrackedStore::wrap_shard(view);
         self.machine
             .step(&config, &mut tracked, &mut self.successors);
@@ -464,7 +463,7 @@ where
         }
     }
 
-    fn enforce_watermark(&mut self, watermark: usize, _threads: usize) {
+    fn enforce_watermark(&mut self, watermark: usize) {
         // The store tracks total delta-log bytes (the portion a trim
         // reclaims) in one atomic; whichever worker notices the overrun
         // trims every row — rows of idle owners included, since
@@ -483,11 +482,11 @@ where
 /// Runs `machine` to its least fixed point on `threads` workers over
 /// one shared address-sharded store (semi-naive re-evaluation).
 ///
-/// The returned [`FixpointResult`] matches the sequential and
-/// replicated engines on configurations and store facts (the fixed
-/// point is unique). `delta_facts` counts each fact once, at the owner
-/// that applied it — unlike the replicated backend, whose per-replica
-/// broadcast multi-counts independent derivations.
+/// The returned [`FixpointResult`] matches the sequential engine on
+/// configurations and store facts (the fixed point is unique);
+/// `configs` order is arbitrary, `iterations`/`skipped`/`wakeups` are
+/// summed across workers, and `delta_facts` counts each fact once, at
+/// the owner that applied it.
 pub fn run_fixpoint_sharded<M>(
     machine: &mut M,
     threads: usize,
@@ -518,12 +517,12 @@ where
     let start = Instant::now();
     let threads = threads.max(1);
 
-    let store: Arc<SharedStore<M::Addr, M::Val>> = Arc::new(SharedStore::new(threads));
+    let store: SharedStore<M::Addr, M::Val> = SharedStore::new(threads);
     let fabric: Fabric<M::Config, Msg> = Fabric::new(threads);
     fabric.submit_root(machine.initial());
 
     let backends: Vec<ShardedWorker<M>> = (0..threads)
-        .map(|_| ShardedWorker::new(machine.fork(), Arc::clone(&store)))
+        .map(|_| ShardedWorker::new(machine.fork(), &store))
         .collect();
     let reports = fabric::drive(&fabric, backends, mode, &limits, start);
     let (status, configs) = fabric.finish();
@@ -547,13 +546,9 @@ where
     }
 
     // The shared store *is* the result: measure it, then drain it into
-    // an ordinary AbsStore without re-interning a single value. Every
-    // worker's Arc was dropped with its report, so ownership is unique
-    // again.
+    // an ordinary AbsStore without re-interning a single value.
     sched.store_resident_bytes = store.approx_bytes() as u64;
-    let store = Arc::try_unwrap(store)
-        .unwrap_or_else(|_| panic!("all worker store references released"))
-        .into_abs_store(joins, value_joins);
+    let store = store.into_abs_store(joins, value_joins);
 
     FixpointResult {
         configs,
@@ -568,69 +563,6 @@ where
         elapsed: start.elapsed(),
         queue_wait: std::time::Duration::ZERO,
         trace: crate::telemetry::RunTrace::from_buffers(rings),
-    }
-}
-
-impl crate::pool::PoolBackend for crate::parallel::Sharded {
-    fn tenant<M>(
-        mut machine: M,
-        limits: EngineLimits,
-        mode: EvalMode,
-        deposit: Box<dyn FnOnce(crate::pool::PoolRun<M>) + Send>,
-    ) -> Box<dyn crate::pool::TenantRun>
-    where
-        M: ParallelMachine + 'static,
-        M::Config: Send + Sync + 'static,
-        M::Addr: Send + Sync + Ord + 'static,
-        M::Val: Send + Sync + 'static,
-    {
-        let store: Arc<SharedStore<M::Addr, M::Val>> = Arc::new(SharedStore::new(1));
-        let fabric: Fabric<M::Config, Msg> = Fabric::new(1);
-        fabric.submit_root(machine.initial());
-        let backend = ShardedWorker::new(machine.fork(), Arc::clone(&store));
-        // Mirrors the tail of run_fixpoint_sharded_with for one worker:
-        // absorb the worker machine, measure the store, drain it into
-        // an AbsStore — the same assembly a solo run performs.
-        let assemble =
-            move |backend: ShardedWorker<M>, status, configs, totals: crate::pool::RunTotals| {
-                let ShardedWorker {
-                    machine: worker,
-                    store: worker_store,
-                    joins,
-                    value_joins,
-                    ..
-                } = backend;
-                // The unbound `..` fields live to the end of this closure,
-                // so the worker's store reference must be released by hand
-                // before ownership can be reclaimed below.
-                drop(worker_store);
-                machine.absorb(worker);
-                let mut sched = totals.sched;
-                sched.store_resident_bytes = store.approx_bytes() as u64;
-                let store = Arc::try_unwrap(store)
-                    .unwrap_or_else(|_| panic!("tenant store reference released"))
-                    .into_abs_store(joins, value_joins);
-                crate::pool::PoolRun {
-                    machine,
-                    fixpoint: FixpointResult {
-                        configs,
-                        store,
-                        status,
-                        iterations: totals.iterations,
-                        skipped: totals.skipped,
-                        wakeups: totals.wakeups,
-                        delta_facts: totals.delta_facts,
-                        delta_applies: totals.delta_applies,
-                        sched,
-                        elapsed: totals.elapsed,
-                        queue_wait: totals.queue_wait,
-                        trace: totals.trace,
-                    },
-                }
-            };
-        Box::new(crate::pool::SoloTenant::new(
-            fabric, backend, limits, mode, assemble, deposit,
-        ))
     }
 }
 

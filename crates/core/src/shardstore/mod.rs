@@ -1,13 +1,10 @@
 //! A globally-shared, **address-sharded** store backend for the
 //! parallel fixpoint engine.
 //!
-//! The replicated backend ([`crate::parallel`]) scales by full
-//! per-worker store copies with all-to-all value-level fact broadcast:
-//! every replica re-interns and re-joins every fact, so memory and
-//! merge work grow linearly with the thread count. This module is the
-//! alternative the concurrent-abstract-interpretation literature
-//! licenses: the store is a single join-semilattice that workers race
-//! on monotonically, so it can simply be *shared* —
+//! The concurrent-abstract-interpretation literature licenses sharing
+//! the store: it is a single join-semilattice that workers race on
+//! monotonically, so a fact is interned once and joined once, however
+//! many workers run —
 //!
 //! * `pool` — a global concurrent interner (sharded index, chunked
 //!   append-only slots, lock-free `get`). Ids are process-global; a
@@ -22,13 +19,11 @@
 //! * [`engine`] — [`run_fixpoint_sharded`]: the worker loop, with
 //!   growth notifications and dependency registrations routed to row
 //!   owners (who alone hold dependency lists), wakeups point-to-point
-//!   instead of broadcast, the same pending-counter termination
-//!   protocol as the replicated engine, and a result assembly that
-//!   just drains the shared store (no `merge_from` union).
+//!   instead of broadcast, the fabric's pending-counter termination
+//!   protocol, and a result assembly that just drains the shared store.
 //!
-//! Select between backends through
-//! [`crate::parallel::StoreBackend`] ([`crate::parallel::Replicated`]
-//! vs [`crate::parallel::Sharded`]).
+//! [`crate::parallel::Sharded`] selects this backend through
+//! [`crate::parallel::StoreBackend`].
 
 pub mod engine;
 pub(crate) mod pool;

@@ -160,9 +160,7 @@ const POOL_SHARDS: usize = 16;
 ///
 /// The id is the fact's identity everywhere — in flow snapshots, in
 /// routed join messages, in the final store — so a value interned by
-/// one worker is *never re-interned* by another (the replicated
-/// backend's broadcast re-interns every fact per replica; killing that
-/// is the point of this type).
+/// one worker is *never re-interned* by another.
 ///
 /// Interning takes one shard mutex (sharded by item hash); `get` is
 /// lock-free (one atomic load + slot deref). Ids are dense: a single

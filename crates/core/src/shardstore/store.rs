@@ -16,7 +16,7 @@
 //! * each row keeps its append-only delta log (ids in arrival order
 //!   with epoch marks) next to the snapshot, serialized by the same
 //!   lock, so [`crate::engine::EvalMode::SemiNaive`] keeps exact
-//!   deltas without pinning configurations to store replicas;
+//!   deltas on a store every worker writes;
 //! * the mirrored `AtomicU64` row epoch gives the scheduler's epoch
 //!   gate a lock-free read.
 //!
@@ -218,8 +218,8 @@ impl<A: Eq + Hash + Clone, V: Eq + Hash + Clone> SharedStore<A, V> {
     /// writers, the epoch is minted under that lock (so the row's marks
     /// stay strictly increasing), and the joining worker gets immediate
     /// read-your-writes — successors evaluated right after their parent
-    /// see the arguments it just bound, exactly like the replicated
-    /// backend's local replica. What stays with the *owner* shard is
+    /// see the arguments it just bound, exactly like a private store.
+    /// What stays with the *owner* shard is
     /// the scheduling side: dependency lists and wakeups — writers ship
     /// the owner a grown-address notification, never the facts.
     pub fn join_row(&self, addr_id: u32, new_ids: &[u32], delta: &mut Vec<u32>) -> bool {
@@ -396,7 +396,7 @@ pub(crate) struct ShardBufs {
 ///   the per-row baselines of the *next* semi-naive evaluation;
 /// * joins write through to the shared row immediately (so successors
 ///   evaluated next on this worker read their arguments, exactly as on
-///   a replicated backend's local replica) and record the grown rows;
+///   a private store) and record the grown rows;
 ///   after the step the engine wakes local dependents and ships the
 ///   owners of foreign grown rows a growth *notification* — addresses,
 ///   never facts.

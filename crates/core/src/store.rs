@@ -333,13 +333,6 @@ impl<A: Eq + Hash + Clone, V: Eq + Hash + Clone> AbsStore<A, V> {
         self.vals.intern(value)
     }
 
-    /// Interns a value by reference, cloning only on first sight — the
-    /// path for merging shared fact batches, where most values are
-    /// already interned locally.
-    pub fn val_id_ref(&mut self, value: &V) -> u32 {
-        self.vals.intern_ref(value)
-    }
-
     /// The value with id `id`.
     pub fn val(&self, id: u32) -> &V {
         self.vals.get(id)
@@ -494,45 +487,6 @@ impl<A: Eq + Hash + Clone, V: Eq + Hash + Clone> AbsStore<A, V> {
     pub fn join_flow(&mut self, addr: &A, flow: &Flow, delta: &mut Vec<u32>) -> bool {
         let id = self.addr_id(addr);
         self.join_ids(id, flow.ids(), delta)
-    }
-
-    /// Merges every fact of `other` into `self` — the shard-union step
-    /// of the parallel engine.
-    ///
-    /// The two stores interned values independently, so their dense ids
-    /// disagree; this walks `other`'s rows once, remapping each foreign
-    /// value id to a local id through a memoized translation table
-    /// (each distinct foreign value is interned at most once), and joins
-    /// the remapped id sets row by row. Bound-but-`⊥` rows stay bound,
-    /// preserving the store-entry metric across the merge, and `other`'s
-    /// join counter is carried over so the merged store reports the
-    /// shards' total join traffic (the merge's own bookkeeping joins
-    /// are not counted).
-    pub fn merge_from(&mut self, other: &AbsStore<A, V>) {
-        let joins_before = self.joins;
-        let value_joins_before = self.value_joins;
-        let mut remap: Vec<Option<u32>> = vec![None; other.vals.len()];
-        let mut mapped: Vec<u32> = Vec::new();
-        let mut delta: Vec<u32> = Vec::new();
-        for (i, row) in other.rows.iter().enumerate() {
-            if !row.bound {
-                continue;
-            }
-            let addr_id = self.addr_id(other.addrs.get(i as u32));
-            mapped.clear();
-            if let Some(ids) = &row.ids {
-                mapped.extend(ids.iter().map(|&id| {
-                    *remap[id as usize]
-                        .get_or_insert_with(|| self.vals.intern_ref(other.vals.get(id)))
-                }));
-                mapped.sort_unstable();
-                mapped.dedup();
-            }
-            delta.clear();
-            self.join_ids(addr_id, &mapped, &mut delta);
-        }
-        self.joins = joins_before + other.joins;
-        self.value_joins = value_joins_before + other.value_joins;
     }
 
     // -- value-level API (post-run consumers & compatibility) ---------
@@ -751,35 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_remaps_ids_and_unions_rows() {
-        // The two stores intern in different orders, so their dense ids
-        // disagree; the merge must union by *value*, not by id.
-        let mut a: AbsStore<u32, u32> = AbsStore::new();
-        a.join(1, [10, 20]);
-        a.join(2, []);
-        let mut b: AbsStore<u32, u32> = AbsStore::new();
-        b.join(3, [30]);
-        b.join(1, [40, 20]);
-        a.merge_from(&b);
-        assert_eq!(a.read(&1), [10, 20, 40].into_iter().collect());
-        assert_eq!(a.read(&3), [30].into_iter().collect());
-        assert_eq!(a.len(), 3, "bound-⊥ address 2 stays bound");
-        assert_eq!(a.fact_count(), 4);
-    }
-
-    #[test]
-    fn merge_from_is_idempotent_at_fixpoint() {
-        let mut a: AbsStore<u32, u32> = AbsStore::new();
-        a.join(1, [10]);
-        let b = a.clone();
-        let facts = a.fact_count();
-        let epoch = a.epoch();
-        a.merge_from(&b);
-        assert_eq!(a.fact_count(), facts);
-        assert_eq!(a.epoch(), epoch, "no-op merge performs no growing join");
-    }
-
-    #[test]
     fn delta_since_returns_exactly_the_later_growth() {
         let mut s: AbsStore<u32, u32> = AbsStore::new();
         s.join(1, [10, 20]);
@@ -837,80 +762,6 @@ mod tests {
             .map(|&id| *s.val(id))
             .collect();
         assert_eq!(post, vec![11]);
-    }
-
-    #[test]
-    fn merge_from_appends_to_delta_logs() {
-        // A broadcast merge must leave the receiving replica's delta
-        // logs as if the facts had been joined locally: a config
-        // baselined before the merge sees the merged growth as delta.
-        let mut home: AbsStore<u32, u32> = AbsStore::new();
-        home.join(1, [10]);
-        let a = home.addr_id(&1);
-        let baseline = home.epoch();
-        let mut remote: AbsStore<u32, u32> = AbsStore::new();
-        remote.join(1, [20, 10]);
-        remote.join(3, [30]);
-        home.merge_from(&remote);
-        let delta: BTreeSet<u32> = home
-            .delta_ids_since(a, baseline)
-            .unwrap()
-            .iter()
-            .map(|&id| *home.val(id))
-            .collect();
-        assert_eq!(delta, [20u32].into_iter().collect(), "only 20 is new");
-        let a3 = home.lookup_addr(&3).unwrap();
-        let delta3: BTreeSet<u32> = home
-            .delta_ids_since(a3, baseline)
-            .unwrap()
-            .iter()
-            .map(|&id| *home.val(id))
-            .collect();
-        assert_eq!(delta3, [30u32].into_iter().collect());
-    }
-
-    #[test]
-    fn merged_deltas_match_a_sequential_schedule() {
-        // Deterministic 2-worker scenario: the home replica joins some
-        // facts locally and receives the rest via merge_from (the
-        // broadcast-merge path). A sequential store applies the same
-        // facts in the same order directly. The pending deltas for a
-        // config baselined at the common start must coincide.
-        let mut seq: AbsStore<u32, u32> = AbsStore::new();
-        let mut home: AbsStore<u32, u32> = AbsStore::new();
-        let (sa, ha) = (seq.addr_id(&7), home.addr_id(&7));
-        let baseline_seq = seq.epoch();
-        let baseline_home = home.epoch();
-
-        // Step 1: home-local growth.
-        seq.join(7, [1, 2]);
-        home.join(7, [1, 2]);
-        // Step 2: remote worker growth, delivered by merge.
-        let mut remote: AbsStore<u32, u32> = AbsStore::new();
-        remote.join(7, [2, 3]);
-        remote.join(8, [4]);
-        seq.join(7, [2, 3]);
-        seq.join(8, [4]);
-        home.merge_from(&remote);
-        // Step 3: more home-local growth after the merge.
-        seq.join(7, [5]);
-        home.join(7, [5]);
-
-        let seq_delta: BTreeSet<u32> = seq
-            .delta_ids_since(sa, baseline_seq)
-            .unwrap()
-            .iter()
-            .map(|&id| *seq.val(id))
-            .collect();
-        let home_delta: BTreeSet<u32> = home
-            .delta_ids_since(ha, baseline_home)
-            .unwrap()
-            .iter()
-            .map(|&id| *home.val(id))
-            .collect();
-        assert_eq!(seq_delta, home_delta);
-        assert_eq!(seq_delta, [1u32, 2, 3, 5].into_iter().collect());
-        assert_eq!(seq.fact_count(), home.fact_count());
     }
 
     #[test]

@@ -7,15 +7,11 @@
 //!   [`cfa_workloads::gen`] (mini-Scheme) and [`cfa_workloads::gen_fj`]
 //!   (Featherweight Java), plus the curated [`scheme_corpus`];
 //! * **the engine-matrix runner** — [`assert_engines_agree`] runs a
-//!   machine through the sequential engine, the replicated parallel
-//!   engine, and the sharded parallel engine (both parallel backends at
-//!   [`PAR_THREADS`] workers), each in both [`EvalMode`]s — six engines
-//!   — plus the retained reference engine as oracle, and asserts all
-//!   seven reach the identical fixpoint (the fixed point of a monotone
-//!   transfer function is unique, so any divergence is a bug). The
-//!   `CFA_STORE_BACKEND` environment variable (`replicated`, `sharded`,
-//!   or the default `both`) narrows the parallel side — the CI matrix
-//!   leg uses it to gate each backend in isolation;
+//!   machine through the sequential engine and the sharded parallel
+//!   engine (at [`PAR_THREADS`] workers), each in both [`EvalMode`]s,
+//!   plus the retained reference engine as oracle, and asserts all five
+//!   reach the identical fixpoint (the fixed point of a monotone
+//!   transfer function is unique, so any divergence is a bug);
 //! * **fixpoint-equality assertions** — [`Fixpoint`] is the canonical
 //!   comparable form (configuration set + materialized store), with
 //!   conversions from both engine result types;
@@ -28,6 +24,7 @@
 //! The analysis-family sweeps [`check_scheme_program`] and
 //! [`check_fj_program`] run the quad across every machine the paper
 //! compares (k-CFA, m-CFA, poly-k-CFA, FJ under both tick policies).
+//! [`corpus`] builds the program corpus of the `corpus_diff` runner.
 
 #![warn(missing_docs)]
 
@@ -35,7 +32,7 @@ use cfa_core::engine::{run_fixpoint_with, EngineLimits, EvalMode};
 use cfa_core::fabric::FaultPlan;
 use cfa_core::flatcfa::{FlatCfaMachine, FlatPolicy};
 use cfa_core::kcfa::KCfaMachine;
-use cfa_core::parallel::{run_fixpoint_parallel_on, ParallelMachine, Replicated, Sharded};
+use cfa_core::parallel::{run_fixpoint_parallel_on, ParallelMachine, Sharded};
 use cfa_core::reference::{run_fixpoint_reference, ReferenceMachine};
 use cfa_fj::kcfa::{FjAnalysisOptions, FjMachine};
 use cfa_fj::parse_fj;
@@ -48,40 +45,12 @@ pub use cfa_workloads::gen::random_concurrent_program as random_concurrent_schem
 pub use cfa_workloads::gen::random_program as random_scheme_program;
 pub use cfa_workloads::gen_fj::{random_fj_program, FjGenConfig};
 
+pub mod corpus;
 pub mod rendezvous;
 
 /// Thread count for the parallel runs: enough workers that task
-/// migration, fact broadcast/routing, and steals all actually happen.
+/// migration, message routing, and steals all actually happen.
 pub const PAR_THREADS: usize = 3;
-
-/// Which parallel store backends the differential runner exercises.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct BackendSelection {
-    /// Run the replicated (per-worker store copies) backend.
-    pub replicated: bool,
-    /// Run the sharded (one shared store) backend.
-    pub sharded: bool,
-}
-
-/// Reads `CFA_STORE_BACKEND` (`replicated` | `sharded` | `both`,
-/// default `both`). The CI backend matrix sets this per leg.
-pub fn backend_selection() -> BackendSelection {
-    match std::env::var("CFA_STORE_BACKEND").as_deref() {
-        Ok("replicated") => BackendSelection {
-            replicated: true,
-            sharded: false,
-        },
-        Ok("sharded") => BackendSelection {
-            replicated: false,
-            sharded: true,
-        },
-        Ok("both") | Err(_) => BackendSelection {
-            replicated: true,
-            sharded: true,
-        },
-        Ok(other) => panic!("CFA_STORE_BACKEND={other:?}: expected replicated|sharded|both"),
-    }
-}
 
 /// A fixpoint in canonical, comparable form: the set of reached
 /// configurations and the fully materialized store.
@@ -125,15 +94,11 @@ where
     }
 }
 
-/// Runs fresh machine instances through the engine matrix — sequential,
-/// replicated-parallel, and sharded-parallel ([`PAR_THREADS`] workers),
-/// each in both semi-naive and full-re-evaluation mode (six engines),
-/// plus the retained reference engine as oracle — and asserts identical
-/// configuration sets and stores everywhere.
-///
-/// The parallel backends honor [`backend_selection`] (the
-/// `CFA_STORE_BACKEND` environment variable), so a CI matrix leg can
-/// gate each backend in isolation; by default both run.
+/// Runs fresh machine instances through the engine matrix — sequential
+/// and sharded-parallel ([`PAR_THREADS`] workers), each in both
+/// semi-naive and full-re-evaluation mode, plus the retained reference
+/// engine as oracle — and asserts identical configuration sets and
+/// stores everywhere.
 ///
 /// # Panics
 ///
@@ -150,7 +115,6 @@ where
     G: FnOnce() -> R,
 {
     let limits = EngineLimits::default;
-    let backends = backend_selection();
     let reference = run_fixpoint_reference(&mut mk_ref(), limits());
     assert!(
         reference.status.is_complete(),
@@ -170,37 +134,16 @@ where
             "{label}: sequential {mode:?} fixpoint diverges from reference"
         );
 
-        if backends.replicated {
-            let p = run_fixpoint_parallel_on::<Replicated, M>(
-                &mut mk_new(),
-                PAR_THREADS,
-                limits(),
-                mode,
-            );
-            assert!(
-                p.status.is_complete(),
-                "{label}: replicated-parallel {mode:?} engine incomplete"
-            );
-            assert_eq!(
-                fixpoint_of(&p),
-                expected,
-                "{label}: replicated-parallel {mode:?} fixpoint diverges from reference"
-            );
-        }
-
-        if backends.sharded {
-            let s =
-                run_fixpoint_parallel_on::<Sharded, M>(&mut mk_new(), PAR_THREADS, limits(), mode);
-            assert!(
-                s.status.is_complete(),
-                "{label}: sharded-parallel {mode:?} engine incomplete"
-            );
-            assert_eq!(
-                fixpoint_of(&s),
-                expected,
-                "{label}: sharded-parallel {mode:?} fixpoint diverges from reference"
-            );
-        }
+        let s = run_fixpoint_parallel_on::<Sharded, M>(&mut mk_new(), PAR_THREADS, limits(), mode);
+        assert!(
+            s.status.is_complete(),
+            "{label}: sharded-parallel {mode:?} engine incomplete"
+        );
+        assert_eq!(
+            fixpoint_of(&s),
+            expected,
+            "{label}: sharded-parallel {mode:?} fixpoint diverges from reference"
+        );
     }
 }
 
@@ -273,7 +216,6 @@ where
     ) -> Result<cfa_core::CanonSnapshot, cfa_core::NotComparable>,
 {
     let limits = EngineLimits::default;
-    let backends = backend_selection();
     let reference = run_fixpoint_reference(&mut mk_ref(), limits());
     let baseline = canon_ref(&reference)
         .unwrap_or_else(|e| panic!("{label}: reference engine has no normal form: {e}"));
@@ -294,28 +236,16 @@ where
     for mode in [EvalMode::SemiNaive, EvalMode::FullReeval] {
         let r = run_fixpoint_with(&mut mk_new(), limits(), mode);
         check(&format!("sequential {mode:?}"), canon_fix(&r));
-        if backends.replicated {
-            let p = run_fixpoint_parallel_on::<Replicated, M>(
-                &mut mk_new(),
-                PAR_THREADS,
-                limits(),
-                mode,
-            );
-            check(&format!("replicated-parallel {mode:?}"), canon_fix(&p));
-        }
-        if backends.sharded {
-            let s =
-                run_fixpoint_parallel_on::<Sharded, M>(&mut mk_new(), PAR_THREADS, limits(), mode);
-            check(&format!("sharded-parallel {mode:?}"), canon_fix(&s));
-        }
+        let s = run_fixpoint_parallel_on::<Sharded, M>(&mut mk_new(), PAR_THREADS, limits(), mode);
+        check(&format!("sharded-parallel {mode:?}"), canon_fix(&s));
     }
     baseline
 }
 
 /// Runs one analysis on `program` through the full engine matrix
-/// (sequential, replicated-parallel, sharded-parallel × both eval
-/// modes, plus the reference oracle — honoring [`backend_selection`])
-/// and asserts every engine's canonical normal form serializes
+/// (sequential and sharded-parallel × both eval modes, plus the
+/// reference oracle) and asserts every engine's canonical normal form
+/// serializes
 /// byte-identically. Returns the agreed snapshot.
 ///
 /// # Panics
@@ -520,7 +450,7 @@ pub fn scheme_corpus() -> Vec<String> {
 /// per-state-store machine and the concrete/abstract soundness
 /// comparison only support sequential programs, while this corpus is
 /// for the suites that must agree across *engines* (sequential,
-/// replicated-parallel, sharded-parallel, reference) and for the race
+/// sharded-parallel, reference) and for the race
 /// detector's property tests.
 pub fn concurrent_scheme_corpus() -> Vec<(String, String)> {
     let mut out: Vec<(String, String)> = golden_racy_programs()

@@ -17,46 +17,26 @@ echo "property suites: PROPTEST_SEED=${PROPTEST_SEED} PROPTEST_CASES=${PROPTEST_
 
 cargo build --release
 cargo test -q
-# Fault-injection suite per store backend, mirroring CI's `faults`
-# matrix legs (the plain `cargo test` run above covers the default
-# CFA_STORE_BACKEND=both).
-for backend in replicated sharded; do
-    echo "fault-injection suite: CFA_STORE_BACKEND=${backend}"
-    CFA_STORE_BACKEND="${backend}" cargo test -q --test faults
+# Golden race-detector suite per evaluation mode, mirroring CI's
+# `races` matrix legs (the plain `cargo test` run above covers the
+# unpinned sweep: both modes).
+for mode in semi-naive full-reeval; do
+    echo "golden race suite: CFA_EVAL_MODE=${mode}"
+    CFA_EVAL_MODE="${mode}" cargo test -q --test races_golden
 done
-# Golden race-detector suite per store backend × evaluation mode,
-# mirroring CI's `races` matrix legs (the plain `cargo test` run above
-# covers the unpinned sweep: both backends, both modes).
-for backend in replicated sharded; do
-    for mode in semi-naive full-reeval; do
-        echo "golden race suite: CFA_STORE_BACKEND=${backend} CFA_EVAL_MODE=${mode}"
-        CFA_STORE_BACKEND="${backend}" CFA_EVAL_MODE="${mode}" \
-            cargo test -q --test races_golden
-    done
-done
-# Pool-throughput smoke per store backend, mirroring CI's `throughput`
-# matrix legs: one repeat of the corpus through the multi-tenant pool.
-# The bench asserts all tenants completed, pooled fixpoints match solo
-# runs, and analyses/sec is nonzero. Run in a scratch directory so the
-# committed BENCH_engine.json (a release-build measurement) is not
-# overwritten by a smoke run.
+# Pool-throughput smoke, mirroring CI's `throughput` job: one repeat of
+# the corpus through the multi-tenant pool. The bench asserts all
+# tenants completed, pooled fixpoints match solo runs, and
+# analyses/sec is nonzero. Run in a scratch directory so the committed
+# BENCH_engine.json (a release-build measurement) is not overwritten by
+# a smoke run.
 throughput_scratch="$(mktemp -d)"
 trap 'rm -rf "${throughput_scratch}"' EXIT
-for backend in replicated sharded; do
-    echo "pool throughput smoke: CFA_STORE_BACKEND=${backend}"
-    CFA_STORE_BACKEND="${backend}" cargo test -q --test pool
-    (cd "${throughput_scratch}" && \
-        CFA_STORE_BACKEND="${backend}" CFA_THROUGHPUT_REPEATS=1 \
-        cargo run --manifest-path "${OLDPWD}/Cargo.toml" -p cfa-bench \
-            --release --quiet --bin throughput_bench)
-done
-# Trace-correctness suite per store backend, mirroring CI's
-# `telemetry` matrix legs (the plain `cargo test` run above covers
-# CFA_STORE_BACKEND=both).
-for backend in replicated sharded; do
-    echo "telemetry suite: CFA_STORE_BACKEND=${backend}"
-    CFA_STORE_BACKEND="${backend}" cargo test -q --test telemetry
-done
+echo "pool throughput smoke"
+(cd "${throughput_scratch}" && \
+    CFA_THROUGHPUT_REPEATS=1 \
+    cargo run --manifest-path "${OLDPWD}/Cargo.toml" -p cfa-bench \
+        --release --quiet --bin throughput_bench)
 # Trace smoke, mirroring CI's telemetry smoke step: `cfa trace` on a
 # suite program must emit Chrome trace JSON that parses with at least
 # one event in every worker lane.
@@ -71,20 +51,15 @@ assert len(lanes) == 2, lanes
 assert all(n >= 1 for n in lanes.values()), lanes
 print(f"trace smoke ok: {dict(lanes)}")
 EOF
-# Corpus-scale differential sweep per store backend, mirroring CI's
-# `corpus` matrix legs: the golden snapshot + canon property suites,
-# then corpus_diff pushes the bounded corpus (suite + golden concurrent
-# programs + 16 seeded generated programs, seed 0) through all seven
-# engine configurations via the AnalysisPool and diffs the canonical
-# normal forms. Widen the generated band for a nightly-scale run with
-# e.g. CFA_CORPUS_SIZE=500 ./scripts/check.sh
-for backend in replicated sharded; do
-    echo "corpus differential sweep: CFA_STORE_BACKEND=${backend}"
-    CFA_STORE_BACKEND="${backend}" cargo test -q --test snapshots --test canon_prop
-    CFA_STORE_BACKEND="${backend}" CFA_CORPUS_SIZE="${CFA_CORPUS_SIZE:-16}" \
-        CFA_CORPUS_SEED="${CFA_CORPUS_SEED:-0}" \
-        cargo run -p cfa-bench --release --quiet --bin corpus_diff
-done
+# Corpus-scale differential sweep, mirroring CI's `corpus` job:
+# corpus_diff pushes the bounded corpus (suite + golden concurrent
+# programs + 16 seeded generated programs, seed 0) through every
+# engine configuration and diffs the canonical normal forms. Widen the
+# generated band for a nightly-scale run with e.g.
+# CFA_CORPUS_SIZE=500 ./scripts/check.sh
+echo "corpus differential sweep"
+CFA_CORPUS_SIZE="${CFA_CORPUS_SIZE:-16}" CFA_CORPUS_SEED="${CFA_CORPUS_SEED:-0}" \
+    cargo run -p cfa-bench --release --quiet --bin corpus_diff
 cargo fmt --all --check
 # Lint every first-party crate; the vendored stand-ins (rand, proptest,
 # criterion) are build inputs, not code we hold to clippy.

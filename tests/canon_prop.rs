@@ -1,9 +1,9 @@
 //! Property tests for the canonical normal form (`cfa_core::canon`).
 //!
 //! For random programs — sequential and concurrent — normalization is
-//! *engine-invariant*: all seven engine configurations (sequential,
-//! replicated-parallel, sharded-parallel × both eval modes, plus the
-//! reference oracle) must serialize to one byte-identical normal form.
+//! *engine-invariant*: all five engine configurations (sequential and
+//! sharded-parallel × both eval modes, plus the reference oracle) must
+//! serialize to one byte-identical normal form.
 //! And the form itself must round-trip: serialize → parse →
 //! re-serialize is the identity on the JSON text, so a snapshot file
 //! can be shipped, re-read, and diffed without loss.
@@ -31,7 +31,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
     /// Random sequential program × random context depth, across every
-    /// CPS machine family: one normal form from seven engines, and it
+    /// CPS machine family: one normal form from five engines, and it
     /// round-trips.
     #[test]
     fn random_scheme_normal_forms_are_engine_invariant(

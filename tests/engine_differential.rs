@@ -4,9 +4,8 @@
 //! The fixed point of a monotone transfer function is unique, so the
 //! rebuilt hot path (`cfa_core::engine`) in both evaluation modes
 //! (semi-naive delta transfer functions and full re-evaluation), the
-//! work-stealing parallel engine under **both store backends** —
-//! replicated (`cfa_core::parallel`) and shared address-sharded
-//! (`cfa_core::shardstore`), any interleaving, any thread count, both
+//! work-stealing parallel engine over the shared address-sharded store
+//! (`cfa_core::shardstore`) — any interleaving, any thread count, both
 //! modes — and the retained pre-interning engine
 //! (`cfa_core::reference`) must agree on
 //!
@@ -58,8 +57,8 @@ fn worst_case_fixpoints_are_identical() {
 
 /// The concurrent corpus: golden race-detector programs plus random
 /// spawn/join/atom programs. These exercise the abstract-thread domain
-/// (thread-return addresses, join blocking, atom cells), where a store
-/// backend that mishandled cross-thread flow would diverge. The naive
+/// (thread-return addresses, join blocking, atom cells), where an
+/// engine that mishandled cross-thread flow would diverge. The naive
 /// per-state-store machine is deliberately absent here — it cannot
 /// model cross-thread store flow (see `cfa_core::naive`).
 #[test]

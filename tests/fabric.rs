@@ -1,7 +1,8 @@
-//! Fabric-level regression tests: both store backends run through the
-//! one generic driver (`cfa_core::fabric`), so the scheduling
-//! invariants must hold *identically* for both — this file pins them,
-//! guarding against backend-specific drift returning.
+//! Fabric-level regression tests: the sharded multi-worker backend and
+//! the one-worker pool tenant run through the one generic loop
+//! (`cfa_core::fabric`), so the scheduling invariants must hold
+//! *identically* for both — this file pins them, guarding against
+//! backend-specific drift returning.
 //!
 //! The load-bearing counter identity, asserted on every completed run:
 //!
@@ -19,14 +20,14 @@
 //! phantom pop breaks it from the left.
 
 use cfa::analysis::engine::{AbstractMachine, EngineLimits, EvalMode, Status, TrackedStore};
-use cfa::analysis::fabric::WakeBatching;
-use cfa::analysis::parallel::{
-    run_fixpoint_parallel_on, ParallelMachine, Replicated, Sharded, StoreBackend,
-};
+use cfa::analysis::parallel::{run_fixpoint_parallel_on, ParallelMachine, Replicated, Sharded};
+use cfa::analysis::pool::{AnalysisPool, PoolConfig};
 use cfa_testsupport::rendezvous::Rendezvous;
 
 /// A feedback machine whose fixpoint needs many cross-config wakeups —
-/// dense scheduling traffic without forced interleavings.
+/// dense scheduling traffic without forced interleavings. Config 4
+/// reads two rows that grow one step apart, so even one worker pops
+/// duplicate wakeups for the epoch gate to skip.
 struct Feedback;
 
 impl AbstractMachine for Feedback {
@@ -41,7 +42,10 @@ impl AbstractMachine for Feedback {
     fn step(&mut self, c: &u8, s: &mut TrackedStore<'_, u8, u8>, out: &mut Vec<u8>) {
         if *c == 0 {
             s.join(&0, [1u8]);
-            out.extend([1, 2, 3]);
+            out.extend([1, 2, 3, 4]);
+        } else if *c == 4 {
+            let _ = s.read(&0);
+            let _ = s.read(&1);
         } else {
             let seen = s.read(&(*c % 3));
             let next: Vec<u8> = seen
@@ -78,16 +82,20 @@ fn assert_sched_identity<C, A, V>(r: &cfa::analysis::engine::FixpointResult<C, A
     );
 }
 
-fn rendezvous_through<B: StoreBackend>(batching: WakeBatching) {
-    let limits = EngineLimits {
-        wake_batching: batching,
-        ..EngineLimits::default()
-    };
+/// The forced stale-snapshot interleaving through the fabric loop
+/// (it needs two workers, so it runs on the sharded backend): no
+/// wakeup may be lost and the counter identity must hold.
+#[test]
+fn rendezvous_sched_invariants_hold_on_the_sharded_fabric() {
     for round in 0..10 {
         let mut machine = Rendezvous::new();
-        let r =
-            run_fixpoint_parallel_on::<B, _>(&mut machine, 2, limits.clone(), EvalMode::SemiNaive);
-        let label = format!("{} {batching:?} round {round}", B::NAME);
+        let r = run_fixpoint_parallel_on::<Sharded, _>(
+            &mut machine,
+            2,
+            EngineLimits::default(),
+            EvalMode::SemiNaive,
+        );
+        let label = format!("round {round}");
         assert_sched_identity(&r, &label);
         assert_eq!(
             r.store.read(&5),
@@ -102,56 +110,49 @@ fn rendezvous_through<B: StoreBackend>(batching: WakeBatching) {
     }
 }
 
-/// The forced stale-snapshot interleaving, through the unified driver,
-/// on both backends and both drain policies: no wakeup may be lost and
-/// the counter identity must hold identically.
-#[test]
-fn rendezvous_sched_invariants_hold_for_both_backends() {
-    for batching in [WakeBatching::Adaptive, WakeBatching::DrainAll] {
-        rendezvous_through::<Replicated>(batching);
-        rendezvous_through::<Sharded>(batching);
-    }
-}
-
 /// Dense wakeup traffic through the unified driver: the counter
-/// identity and the fixpoint hold for both backends across thread
-/// counts, modes, and drain policies.
+/// identity and the fixpoint hold for the sharded backend across
+/// thread counts and for a pool tenant whose run spans many quanta, in
+/// both modes.
 #[test]
 fn feedback_sched_invariants_hold_for_both_backends() {
     let expect = cfa::analysis::engine::run_fixpoint(&mut Feedback, EngineLimits::default());
-    for batching in [WakeBatching::Adaptive, WakeBatching::DrainAll] {
-        let limits = EngineLimits {
-            wake_batching: batching,
-            ..EngineLimits::default()
-        };
-        for threads in [1, 2, 4] {
-            for mode in [EvalMode::SemiNaive, EvalMode::FullReeval] {
-                let rep = run_fixpoint_parallel_on::<Replicated, _>(
-                    &mut Feedback,
-                    threads,
-                    limits.clone(),
-                    mode,
-                );
-                let sh = run_fixpoint_parallel_on::<Sharded, _>(
-                    &mut Feedback,
-                    threads,
-                    limits.clone(),
-                    mode,
-                );
-                for (r, name) in [(&rep, "replicated"), (&sh, "sharded")] {
-                    let label = format!("{name} {batching:?} threads={threads} {mode:?}");
-                    assert_sched_identity(r, &label);
-                    for a in 0..3u8 {
-                        assert_eq!(
-                            r.store.read(&a),
-                            expect.store.read(&a),
-                            "{label}: fixpoint agrees with sequential"
-                        );
-                    }
-                    assert_eq!(r.config_count(), expect.config_count(), "{label}");
-                }
-            }
+    let check = |r: &cfa::analysis::engine::FixpointResult<u8, u8, u8>, label: &str| {
+        assert_sched_identity(r, label);
+        for a in 0..3u8 {
+            assert_eq!(
+                r.store.read(&a),
+                expect.store.read(&a),
+                "{label}: fixpoint agrees with sequential"
+            );
         }
+        assert_eq!(r.config_count(), expect.config_count(), "{label}");
+    };
+    for mode in [EvalMode::SemiNaive, EvalMode::FullReeval] {
+        for threads in [1, 2, 4] {
+            let r = run_fixpoint_parallel_on::<Sharded, _>(
+                &mut Feedback,
+                threads,
+                EngineLimits::default(),
+                mode,
+            );
+            check(&r, &format!("sharded threads={threads} {mode:?}"));
+        }
+
+        // A quantum far shorter than the run, so the tenant suspends
+        // and resumes mid-run: the identity must survive the parking.
+        let pool = AnalysisPool::new(PoolConfig {
+            threads: 1,
+            queue_depth: 4,
+            quantum_pops: 4,
+        });
+        let run = pool
+            .submit::<Replicated, _>(Feedback, EngineLimits::default(), mode)
+            .wait();
+        let quanta = pool.metrics().quanta;
+        pool.shutdown();
+        assert!(quanta > 1, "pool tenant {mode:?}: ran in {quanta} quantum");
+        check(&run.fixpoint, &format!("pool tenant {mode:?}"));
     }
 }
 

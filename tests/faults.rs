@@ -18,23 +18,20 @@
 //!
 //! Faults are keyed on exact global pop/evaluation counts
 //! ([`FaultPlan`]), so each scenario lands at the same logical point on
-//! every backend and run. The parallel scenarios honor
-//! `CFA_STORE_BACKEND` like the differential suites, so the CI matrix
-//! can gate each backend in isolation.
+//! every run. The multi-worker scenarios run the sharded backend; the
+//! pool scenario runs pool tenants.
 
 use cfa::analysis::engine::{
     run_fixpoint_with, AbstractMachine, CancelToken, EngineLimits, EvalMode, Status, TrackedStore,
 };
 use cfa::analysis::fabric::{FaultPlan, LIMIT_CHECK_CADENCE};
 use cfa::analysis::kcfa::KCfaMachine;
-use cfa::analysis::parallel::{
-    run_fixpoint_parallel_on, ParallelMachine, Replicated, Sharded, StoreBackend,
-};
+use cfa::analysis::parallel::{run_fixpoint_parallel_on, ParallelMachine, Replicated, Sharded};
 use cfa::analysis::reference::{run_fixpoint_reference, RefTrackedStore, ReferenceMachine};
 use cfa::CpsProgram;
 use cfa_testsupport::{
-    assert_fixpoint_subset, backend_selection, fixpoint_of, fixpoint_of_reference,
-    limits_with_plan, quiet_injected_panics, PAR_THREADS,
+    assert_fixpoint_subset, fixpoint_of, fixpoint_of_reference, limits_with_plan,
+    quiet_injected_panics, PAR_THREADS,
 };
 use std::time::Duration;
 
@@ -43,7 +40,7 @@ const MODES: [EvalMode; 2] = [EvalMode::SemiNaive, EvalMode::FullReeval];
 /// The workload all injections land on: the suite's `regex` program at
 /// k = 1 — roughly 2,500 sequential evaluations over 1,100+
 /// configurations, large enough that every pop- or eval-keyed clause
-/// fires mid-run on every backend and thread count.
+/// fires mid-run at every thread count.
 fn regex() -> CpsProgram {
     let src = cfa::workloads::suite()
         .iter()
@@ -56,46 +53,38 @@ fn regex() -> CpsProgram {
 /// An injected panic at evaluation 50 must leave the process alive,
 /// join every worker, and return `Aborted` naming a real configuration
 /// whose partial store is a subset of the completed fixpoint.
-fn injected_panic_is_contained<B: StoreBackend>(mode: EvalMode) {
-    quiet_injected_panics();
-    let p = regex();
-    let full = run_fixpoint_with(&mut KCfaMachine::new(&p, 1), EngineLimits::default(), mode);
-    assert!(full.status.is_complete());
-    let full = fixpoint_of(&full);
-
-    let limits = limits_with_plan(FaultPlan::new().panic_at_eval(50));
-    let r =
-        run_fixpoint_parallel_on::<B, _>(&mut KCfaMachine::new(&p, 1), PAR_THREADS, limits, mode);
-    let Status::Aborted { config, message } = &r.status else {
-        panic!("{}/{mode:?}: expected Aborted, got {:?}", B::NAME, r.status);
-    };
-    assert!(
-        message.contains("injected fault: panic at evaluation 50"),
-        "{}/{mode:?}: abort message {message:?} does not carry the panic payload",
-        B::NAME
-    );
-    assert!(
-        !config.is_empty() && config != "<seed>" && config != "<worker>",
-        "{}/{mode:?}: abort should name the evaluating configuration, got {config:?}",
-        B::NAME
-    );
-    assert_fixpoint_subset(
-        &format!("{}/{mode:?} post-panic partial", B::NAME),
-        &fixpoint_of(&r),
-        &full,
-    );
-}
-
 #[test]
 fn injected_panic_is_contained_on_every_backend() {
-    let backends = backend_selection();
+    quiet_injected_panics();
+    let p = regex();
     for mode in MODES {
-        if backends.replicated {
-            injected_panic_is_contained::<Replicated>(mode);
-        }
-        if backends.sharded {
-            injected_panic_is_contained::<Sharded>(mode);
-        }
+        let full = run_fixpoint_with(&mut KCfaMachine::new(&p, 1), EngineLimits::default(), mode);
+        assert!(full.status.is_complete());
+        let full = fixpoint_of(&full);
+
+        let limits = limits_with_plan(FaultPlan::new().panic_at_eval(50));
+        let r = run_fixpoint_parallel_on::<Sharded, _>(
+            &mut KCfaMachine::new(&p, 1),
+            PAR_THREADS,
+            limits,
+            mode,
+        );
+        let Status::Aborted { config, message } = &r.status else {
+            panic!("{mode:?}: expected Aborted, got {:?}", r.status);
+        };
+        assert!(
+            message.contains("injected fault: panic at evaluation 50"),
+            "{mode:?}: abort message {message:?} does not carry the panic payload"
+        );
+        assert!(
+            !config.is_empty() && config != "<seed>" && config != "<worker>",
+            "{mode:?}: abort should name the evaluating configuration, got {config:?}"
+        );
+        assert_fixpoint_subset(
+            &format!("{mode:?} post-panic partial"),
+            &fixpoint_of(&r),
+            &full,
+        );
     }
 }
 
@@ -167,102 +156,81 @@ impl ParallelMachine for TwoParty {
 
 /// The `panic_worker` clause scopes the eval count to one worker, so
 /// the abort path is exercised from a non-zero worker id too.
-fn worker_scoped_panic_is_contained<B: StoreBackend>() {
+#[test]
+fn worker_scoped_panic_is_contained_on_every_backend() {
     quiet_injected_panics();
     let limits = limits_with_plan(FaultPlan::new().panic_at_eval(1).on_worker(1));
-    let r = run_fixpoint_parallel_on::<B, _>(&mut TwoParty::new(), 2, limits, EvalMode::SemiNaive);
+    let r = run_fixpoint_parallel_on::<Sharded, _>(
+        &mut TwoParty::new(),
+        2,
+        limits,
+        EvalMode::SemiNaive,
+    );
     let Status::Aborted { message, .. } = &r.status else {
-        panic!("{}: expected Aborted, got {:?}", B::NAME, r.status);
+        panic!("expected Aborted, got {:?}", r.status);
     };
     assert!(
         message.contains("worker 1"),
-        "{}: abort message {message:?} should come from worker 1",
-        B::NAME
+        "abort message {message:?} should come from worker 1"
     );
-}
-
-#[test]
-fn worker_scoped_panic_is_contained_on_every_backend() {
-    let backends = backend_selection();
-    if backends.replicated {
-        worker_scoped_panic_is_contained::<Replicated>();
-    }
-    if backends.sharded {
-        worker_scoped_panic_is_contained::<Sharded>();
-    }
 }
 
 /// Cancellation is observed within one limit-check cadence per worker:
 /// after the token flips at global pop `N`, each of the `t` workers
 /// performs at most `LIMIT_CHECK_CADENCE` further pops before its next
 /// check (×2 slack for pops counted while the flip is in flight).
-fn cancellation_lands_within_bound<B: StoreBackend>(mode: EvalMode) {
-    const CANCEL_AT: u64 = 400;
-    let p = regex();
-    let limits = limits_with_plan(FaultPlan::new().cancel_at_pop(CANCEL_AT));
-    let r =
-        run_fixpoint_parallel_on::<B, _>(&mut KCfaMachine::new(&p, 1), PAR_THREADS, limits, mode);
-    assert_eq!(r.status, Status::Cancelled, "{}/{mode:?}", B::NAME);
-    let pops = r.iterations + r.skipped;
-    let bound = CANCEL_AT + (PAR_THREADS as u64) * LIMIT_CHECK_CADENCE * 2;
-    assert!(
-        pops <= bound,
-        "{}/{mode:?}: {pops} pops despite cancellation at pop {CANCEL_AT} (bound {bound})",
-        B::NAME
-    );
-    let full = run_fixpoint_with(&mut KCfaMachine::new(&p, 1), EngineLimits::default(), mode);
-    assert_fixpoint_subset(
-        &format!("{}/{mode:?} cancelled partial", B::NAME),
-        &fixpoint_of(&r),
-        &fixpoint_of(&full),
-    );
-}
-
 #[test]
 fn cancellation_lands_within_bound_on_every_backend() {
-    let backends = backend_selection();
+    const CANCEL_AT: u64 = 400;
+    let p = regex();
     for mode in MODES {
-        if backends.replicated {
-            cancellation_lands_within_bound::<Replicated>(mode);
-        }
-        if backends.sharded {
-            cancellation_lands_within_bound::<Sharded>(mode);
-        }
+        let limits = limits_with_plan(FaultPlan::new().cancel_at_pop(CANCEL_AT));
+        let r = run_fixpoint_parallel_on::<Sharded, _>(
+            &mut KCfaMachine::new(&p, 1),
+            PAR_THREADS,
+            limits,
+            mode,
+        );
+        assert_eq!(r.status, Status::Cancelled, "{mode:?}");
+        let pops = r.iterations + r.skipped;
+        let bound = CANCEL_AT + (PAR_THREADS as u64) * LIMIT_CHECK_CADENCE * 2;
+        assert!(
+            pops <= bound,
+            "{mode:?}: {pops} pops despite cancellation at pop {CANCEL_AT} (bound {bound})"
+        );
+        let full = run_fixpoint_with(&mut KCfaMachine::new(&p, 1), EngineLimits::default(), mode);
+        assert_fixpoint_subset(
+            &format!("{mode:?} cancelled partial"),
+            &fixpoint_of(&r),
+            &fixpoint_of(&full),
+        );
     }
 }
 
 /// A forced watermark-0 delta-log trim mid-run degrades baselines to
 /// the snapshot-loss fallback but must not change the fixpoint.
-fn forced_trim_preserves_fixpoint<B: StoreBackend>(mode: EvalMode) {
-    let p = regex();
-    let full = run_fixpoint_with(&mut KCfaMachine::new(&p, 1), EngineLimits::default(), mode);
-    let limits = limits_with_plan(FaultPlan::new().trim_at_pop(100));
-    let r =
-        run_fixpoint_parallel_on::<B, _>(&mut KCfaMachine::new(&p, 1), PAR_THREADS, limits, mode);
-    assert!(
-        r.status.is_complete(),
-        "{}/{mode:?}: forced trim should not stop the run, got {:?}",
-        B::NAME,
-        r.status
-    );
-    assert_eq!(
-        fixpoint_of(&r),
-        fixpoint_of(&full),
-        "{}/{mode:?}: forced mid-run trim changed the fixpoint",
-        B::NAME
-    );
-}
-
 #[test]
 fn forced_trim_preserves_fixpoint_on_every_backend() {
-    let backends = backend_selection();
+    let p = regex();
     for mode in MODES {
-        if backends.replicated {
-            forced_trim_preserves_fixpoint::<Replicated>(mode);
-        }
-        if backends.sharded {
-            forced_trim_preserves_fixpoint::<Sharded>(mode);
-        }
+        let full = run_fixpoint_with(&mut KCfaMachine::new(&p, 1), EngineLimits::default(), mode);
+        let limits = limits_with_plan(FaultPlan::new().trim_at_pop(100));
+        let r = run_fixpoint_parallel_on::<Sharded, _>(
+            &mut KCfaMachine::new(&p, 1),
+            PAR_THREADS,
+            limits,
+            mode,
+        );
+        assert!(
+            r.status.is_complete(),
+            "{mode:?}: forced trim should not stop the run, got {:?}",
+            r.status
+        );
+        assert_eq!(
+            fixpoint_of(&r),
+            fixpoint_of(&full),
+            "{mode:?}: forced mid-run trim changed the fixpoint"
+        );
     }
 }
 
@@ -270,40 +238,25 @@ fn forced_trim_preserves_fixpoint_on_every_backend() {
 /// violation: pending never reaches zero, every worker goes idle, and
 /// without the watchdog the run would hang forever. The watchdog must
 /// turn that hang into a diagnostic abort.
-fn leaked_pending_trips_watchdog<B: StoreBackend>() {
+#[test]
+fn leaked_pending_trips_watchdog_on_every_backend() {
     let p = regex();
     let mut limits = limits_with_plan(FaultPlan::new().leak_pending_at_pop(5));
     limits.stall_timeout = Some(Duration::from_millis(200));
-    let r = run_fixpoint_parallel_on::<B, _>(
+    let r = run_fixpoint_parallel_on::<Sharded, _>(
         &mut KCfaMachine::new(&p, 1),
         PAR_THREADS,
         limits,
         EvalMode::SemiNaive,
     );
     let Status::Aborted { config, message } = &r.status else {
-        panic!(
-            "{}: expected the watchdog to abort, got {:?}",
-            B::NAME,
-            r.status
-        );
+        panic!("expected the watchdog to abort, got {:?}", r.status);
     };
-    assert_eq!(config.as_str(), Status::STALL_WATCHDOG, "{}", B::NAME);
+    assert_eq!(config.as_str(), Status::STALL_WATCHDOG);
     assert!(
         message.contains("pending"),
-        "{}: watchdog dump {message:?} should report the stuck pending count",
-        B::NAME
+        "watchdog dump {message:?} should report the stuck pending count"
     );
-}
-
-#[test]
-fn leaked_pending_trips_watchdog_on_every_backend() {
-    let backends = backend_selection();
-    if backends.replicated {
-        leaked_pending_trips_watchdog::<Replicated>();
-    }
-    if backends.sharded {
-        leaked_pending_trips_watchdog::<Sharded>();
-    }
 }
 
 /// The sequential engine shares the fault hooks (it counts as worker
@@ -329,8 +282,9 @@ fn sequential_engine_contains_injected_panic() {
     }
 }
 
-/// The sequential engine observes an injected cancellation within its
-/// own (coarser, 256-pop) cadence.
+/// The sequential engine observes an injected cancellation within one
+/// `LIMIT_CHECK_CADENCE`, the fabric's cadence: one worker, so no
+/// slack for flips in flight.
 #[test]
 fn sequential_engine_cancellation_lands_within_bound() {
     const CANCEL_AT: u64 = 400;
@@ -339,7 +293,7 @@ fn sequential_engine_cancellation_lands_within_bound() {
     let r = run_fixpoint_with(&mut KCfaMachine::new(&p, 1), limits, EvalMode::SemiNaive);
     assert_eq!(r.status, Status::Cancelled);
     assert!(
-        r.iterations + r.skipped <= CANCEL_AT + 256 * 2,
+        r.iterations + r.skipped <= CANCEL_AT + LIMIT_CHECK_CADENCE,
         "sequential engine overran the injected cancellation: {} pops",
         r.iterations + r.skipped
     );
@@ -374,31 +328,19 @@ fn pre_cancelled_token_stops_every_engine_immediately() {
         "reference engine evaluated despite cancellation"
     );
 
-    let backends = backend_selection();
-    if backends.replicated {
-        let r = run_fixpoint_parallel_on::<Replicated, _>(
-            &mut KCfaMachine::new(&p, 1),
-            PAR_THREADS,
-            EngineLimits::cancellable(token.clone()),
-            EvalMode::SemiNaive,
-        );
-        assert_eq!(r.status, Status::Cancelled);
-    }
-    if backends.sharded {
-        let r = run_fixpoint_parallel_on::<Sharded, _>(
-            &mut KCfaMachine::new(&p, 1),
-            PAR_THREADS,
-            EngineLimits::cancellable(token),
-            EvalMode::SemiNaive,
-        );
-        assert_eq!(r.status, Status::Cancelled);
-    }
+    let r = run_fixpoint_parallel_on::<Sharded, _>(
+        &mut KCfaMachine::new(&p, 1),
+        PAR_THREADS,
+        EngineLimits::cancellable(token),
+        EvalMode::SemiNaive,
+    );
+    assert_eq!(r.status, Status::Cancelled);
 }
 
 /// A machine whose transfer function itself panics (no injection
 /// plumbing involved) — the containment the fault plan merely
 /// simulates. The chain 0 → 1 → … guarantees config 7 is evaluated on
-/// every backend; `Aborted` must name it.
+/// every engine; `Aborted` must name it.
 #[derive(Clone)]
 struct PoisonPill;
 
@@ -465,25 +407,13 @@ fn transfer_function_panic_names_the_config_on_every_engine() {
         let r = run_fixpoint_with(&mut PoisonPill, EngineLimits::default(), mode);
         expect_poisoned(&r.status, &format!("sequential/{mode:?}"));
 
-        let backends = backend_selection();
-        if backends.replicated {
-            let r = run_fixpoint_parallel_on::<Replicated, _>(
-                &mut PoisonPill,
-                PAR_THREADS,
-                EngineLimits::default(),
-                mode,
-            );
-            expect_poisoned(&r.status, &format!("replicated/{mode:?}"));
-        }
-        if backends.sharded {
-            let r = run_fixpoint_parallel_on::<Sharded, _>(
-                &mut PoisonPill,
-                PAR_THREADS,
-                EngineLimits::default(),
-                mode,
-            );
-            expect_poisoned(&r.status, &format!("sharded/{mode:?}"));
-        }
+        let r = run_fixpoint_parallel_on::<Sharded, _>(
+            &mut PoisonPill,
+            PAR_THREADS,
+            EngineLimits::default(),
+            mode,
+        );
+        expect_poisoned(&r.status, &format!("sharded/{mode:?}"));
     }
 
     let r = run_fixpoint_reference(&mut PoisonPill, EngineLimits::default());
@@ -522,32 +452,17 @@ impl ParallelMachine for PoisonSeed {
 #[test]
 fn seed_panic_is_contained_on_every_backend() {
     quiet_injected_panics();
-    let backends = backend_selection();
-    let expect_seed_abort = |status: &Status, engine: &str| {
-        let Status::Aborted { config, message } = status else {
-            panic!("{engine}: expected Aborted, got {status:?}");
-        };
-        assert_eq!(config.as_str(), "<seed>", "{engine}");
-        assert!(message.contains("poisoned seed"), "{engine}: {message:?}");
+    let r = run_fixpoint_parallel_on::<Sharded, _>(
+        &mut PoisonSeed,
+        PAR_THREADS,
+        EngineLimits::default(),
+        EvalMode::SemiNaive,
+    );
+    let Status::Aborted { config, message } = &r.status else {
+        panic!("expected Aborted, got {:?}", r.status);
     };
-    if backends.replicated {
-        let r = run_fixpoint_parallel_on::<Replicated, _>(
-            &mut PoisonSeed,
-            PAR_THREADS,
-            EngineLimits::default(),
-            EvalMode::SemiNaive,
-        );
-        expect_seed_abort(&r.status, "replicated");
-    }
-    if backends.sharded {
-        let r = run_fixpoint_parallel_on::<Sharded, _>(
-            &mut PoisonSeed,
-            PAR_THREADS,
-            EngineLimits::default(),
-            EvalMode::SemiNaive,
-        );
-        expect_seed_abort(&r.status, "sharded");
-    }
+    assert_eq!(config.as_str(), "<seed>");
+    assert!(message.contains("poisoned seed"), "{message:?}");
 }
 
 /// Satellite: an iteration-limited run on the *sharded* backend leaves
@@ -677,21 +592,23 @@ fn fault_plan_parse_grammar() {
 /// per-run, the clause fired once at the 50th evaluation *summed
 /// across the two runs* — one run aborted (nondeterministically) and
 /// the other sailed through on a half-consumed counter.
-fn shared_plan_faults_every_planned_run<B: StoreBackend>() {
+#[test]
+fn shared_plan_faults_every_planned_run_on_every_backend() {
     quiet_injected_panics();
     let limits = limits_with_plan(FaultPlan::new().panic_at_eval(50));
+    let run = |limits: EngineLimits| {
+        let p = regex();
+        run_fixpoint_parallel_on::<Sharded, _>(
+            &mut KCfaMachine::new(&p, 1),
+            PAR_THREADS,
+            limits,
+            EvalMode::SemiNaive,
+        )
+    };
     let handles: Vec<_> = (0..2)
         .map(|_| {
             let limits = limits.clone();
-            std::thread::spawn(move || {
-                let p = regex();
-                run_fixpoint_parallel_on::<B, _>(
-                    &mut KCfaMachine::new(&p, 1),
-                    PAR_THREADS,
-                    limits,
-                    EvalMode::SemiNaive,
-                )
-            })
+            std::thread::spawn(move || run(limits))
         })
         .collect();
     for (i, h) in handles.into_iter().enumerate() {
@@ -700,99 +617,64 @@ fn shared_plan_faults_every_planned_run<B: StoreBackend>() {
             .expect("analysis thread panicked outside the engine");
         let Status::Aborted { message, .. } = &r.status else {
             panic!(
-                "{}: run {i} shared the plan but did not fault — counters aliased, got {:?}",
-                B::NAME,
+                "run {i} shared the plan but did not fault — counters aliased, got {:?}",
                 r.status
             );
         };
         assert!(
             message.contains("injected fault: panic at evaluation 50"),
-            "{}: run {i} aborted off-plan: {message:?}",
-            B::NAME
+            "run {i} aborted off-plan: {message:?}"
         );
     }
 
     // Same aliasing bug, sequential flavor: reusing the plan for a
     // second run must fire the clause again, not find it consumed.
-    let p = regex();
-    let r = run_fixpoint_parallel_on::<B, _>(
-        &mut KCfaMachine::new(&p, 1),
-        PAR_THREADS,
-        limits,
-        EvalMode::SemiNaive,
-    );
+    let r = run(limits);
     assert!(
         matches!(&r.status, Status::Aborted { .. }),
-        "{}: a reused plan must re-arm its counters, got {:?}",
-        B::NAME,
+        "a reused plan must re-arm its counters, got {:?}",
         r.status
     );
 }
 
-#[test]
-fn shared_plan_faults_every_planned_run_on_every_backend() {
-    let backends = backend_selection();
-    if backends.replicated {
-        shared_plan_faults_every_planned_run::<Replicated>();
-    }
-    if backends.sharded {
-        shared_plan_faults_every_planned_run::<Sharded>();
-    }
-}
-
 /// A concurrent *unplanned* run must never observe a neighbor's fault
 /// plan: only the planned fixpoint faults.
-fn only_the_planned_run_faults<B: StoreBackend>() {
+#[test]
+fn only_the_planned_run_faults_on_every_backend() {
     quiet_injected_panics();
-    let planned = std::thread::spawn(|| {
-        let p = regex();
-        run_fixpoint_parallel_on::<B, _>(
-            &mut KCfaMachine::new(&p, 1),
-            PAR_THREADS,
-            limits_with_plan(FaultPlan::new().panic_at_eval(50)),
-            EvalMode::SemiNaive,
-        )
-    });
-    let unplanned = std::thread::spawn(|| {
-        let p = regex();
-        run_fixpoint_parallel_on::<B, _>(
-            &mut KCfaMachine::new(&p, 1),
-            PAR_THREADS,
-            EngineLimits::default(),
-            EvalMode::SemiNaive,
-        )
-    });
+    let run = |limits: EngineLimits| {
+        std::thread::spawn(move || {
+            let p = regex();
+            run_fixpoint_parallel_on::<Sharded, _>(
+                &mut KCfaMachine::new(&p, 1),
+                PAR_THREADS,
+                limits,
+                EvalMode::SemiNaive,
+            )
+        })
+    };
+    let planned = run(limits_with_plan(FaultPlan::new().panic_at_eval(50)));
+    let unplanned = run(EngineLimits::default());
     let r = planned.join().expect("planned thread");
     assert!(
         matches!(&r.status, Status::Aborted { .. }),
-        "{}: the planned run must fault, got {:?}",
-        B::NAME,
+        "the planned run must fault, got {:?}",
         r.status
     );
     let r = unplanned.join().expect("unplanned thread");
     assert!(
         r.status.is_complete(),
-        "{}: the unplanned concurrent run caught a neighbor's fault: {:?}",
-        B::NAME,
+        "the unplanned concurrent run caught a neighbor's fault: {:?}",
         r.status
     );
-}
-
-#[test]
-fn only_the_planned_run_faults_on_every_backend() {
-    let backends = backend_selection();
-    if backends.replicated {
-        only_the_planned_run_faults::<Replicated>();
-    }
-    if backends.sharded {
-        only_the_planned_run_faults::<Sharded>();
-    }
 }
 
 /// The 2-tenant pool flavor of `leaked_pending_trips_watchdog`: the
 /// stall watchdog is scoped per tenant, so a stalled run aborts with
 /// the watchdog diagnostic while its pool-mate completes untouched.
-fn stalled_tenant_spares_its_pool_mate<B: cfa::analysis::pool::PoolBackend>() {
+#[test]
+fn stalled_tenant_spares_its_pool_mate_on_every_backend() {
+    use cfa::analysis::kcfa::submit_kcfa;
     use cfa::analysis::pool::{AnalysisPool, PoolConfig};
     let pool = AnalysisPool::new(PoolConfig {
         threads: 2,
@@ -801,41 +683,26 @@ fn stalled_tenant_spares_its_pool_mate<B: cfa::analysis::pool::PoolBackend>() {
     let p = std::sync::Arc::new(regex());
     let mut limits = limits_with_plan(FaultPlan::new().leak_pending_at_pop(5));
     limits.stall_timeout = Some(Duration::from_millis(200));
-    let stalled =
-        cfa::analysis::kcfa::submit_kcfa::<B>(&pool, std::sync::Arc::clone(&p), 1, limits);
-    let healthy = cfa::analysis::kcfa::submit_kcfa::<B>(&pool, p, 1, EngineLimits::default());
+    let stalled = submit_kcfa::<Replicated>(&pool, std::sync::Arc::clone(&p), 1, limits);
+    let healthy = submit_kcfa::<Replicated>(&pool, p, 1, EngineLimits::default());
 
     let healthy_run = healthy.wait();
     assert!(
         healthy_run.fixpoint.status.is_complete(),
-        "{}: pool-mate of a stalled tenant must complete, got {:?}",
-        B::NAME,
+        "pool-mate of a stalled tenant must complete, got {:?}",
         healthy_run.fixpoint.status
     );
     let stalled_run = stalled.wait();
     let Status::Aborted { config, message } = &stalled_run.fixpoint.status else {
         panic!(
-            "{}: expected the per-tenant watchdog to abort the stalled run, got {:?}",
-            B::NAME,
+            "expected the per-tenant watchdog to abort the stalled run, got {:?}",
             stalled_run.fixpoint.status
         );
     };
-    assert_eq!(config.as_str(), Status::STALL_WATCHDOG, "{}", B::NAME);
+    assert_eq!(config.as_str(), Status::STALL_WATCHDOG);
     assert!(
         message.contains("pending"),
-        "{}: watchdog dump {message:?} should report the stuck pending count",
-        B::NAME
+        "watchdog dump {message:?} should report the stuck pending count"
     );
     pool.shutdown();
-}
-
-#[test]
-fn stalled_tenant_spares_its_pool_mate_on_every_backend() {
-    let backends = backend_selection();
-    if backends.replicated {
-        stalled_tenant_spares_its_pool_mate::<Replicated>();
-    }
-    if backends.sharded {
-        stalled_tenant_spares_its_pool_mate::<Sharded>();
-    }
 }

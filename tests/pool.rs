@@ -16,16 +16,15 @@
 //!    queue is reported as `queue_wait` and never billed against the
 //!    tenant's `time_budget`.
 //!
-//! Like the differential suites, everything here honors
-//! `CFA_STORE_BACKEND` so CI can gate each store backend in isolation.
+//! Every tenant keeps a private store ([`Replicated`]).
 
 use cfa::analysis::engine::{EngineLimits, Status};
 use cfa::analysis::kcfa::{analyze_kcfa, submit_kcfa, KcfaJob};
-use cfa::analysis::parallel::{Replicated, Sharded};
-use cfa::analysis::pool::{AnalysisPool, PoolBackend, PoolConfig};
+use cfa::analysis::parallel::Replicated;
+use cfa::analysis::pool::{AnalysisPool, PoolConfig};
 use cfa::workloads::worst_case_source;
 use cfa::CpsProgram;
-use cfa_testsupport::{backend_selection, fixpoint_of, limits_with_plan, quiet_injected_panics};
+use cfa_testsupport::{fixpoint_of, limits_with_plan, quiet_injected_panics};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -57,7 +56,8 @@ fn hog(n: usize) -> Arc<CpsProgram> {
 
 /// Pushing the whole workload suite through one pool concurrently must
 /// land every tenant on exactly the fixpoint a solo run computes.
-fn pool_matches_solo_runs<B: PoolBackend>() {
+#[test]
+fn pool_matches_solo_runs_on_every_backend() {
     let pool = AnalysisPool::new(PoolConfig {
         threads: 3,
         ..PoolConfig::default()
@@ -65,7 +65,7 @@ fn pool_matches_solo_runs<B: PoolBackend>() {
     let jobs: Vec<(&str, Arc<CpsProgram>, KcfaJob)> = suite_programs()
         .into_iter()
         .map(|(name, p)| {
-            let job = submit_kcfa::<B>(&pool, Arc::clone(&p), 1, EngineLimits::default());
+            let job = submit_kcfa::<Replicated>(&pool, Arc::clone(&p), 1, EngineLimits::default());
             (name, p, job)
         })
         .collect();
@@ -74,42 +74,28 @@ fn pool_matches_solo_runs<B: PoolBackend>() {
         assert_eq!(
             pooled.fixpoint.status,
             Status::Completed,
-            "{}/{name}: pooled run should complete",
-            B::NAME
+            "{name}: pooled run should complete"
         );
         let solo = analyze_kcfa(&p, 1, EngineLimits::default());
         assert_eq!(
             fixpoint_of(&pooled.fixpoint),
             fixpoint_of(&solo.fixpoint),
-            "{}/{name}: pooled fixpoint diverged from the solo run",
-            B::NAME
+            "{name}: pooled fixpoint diverged from the solo run"
         );
         assert_eq!(
-            pooled.halt_values,
-            solo.halt_values,
-            "{}/{name}: pooled halt values diverged from the solo run",
-            B::NAME
+            pooled.halt_values, solo.halt_values,
+            "{name}: pooled halt values diverged from the solo run"
         );
     }
     pool.shutdown();
-}
-
-#[test]
-fn pool_matches_solo_runs_on_every_backend() {
-    let backends = backend_selection();
-    if backends.replicated {
-        pool_matches_solo_runs::<Replicated>();
-    }
-    if backends.sharded {
-        pool_matches_solo_runs::<Sharded>();
-    }
 }
 
 /// Time spent queued behind another tenant is not the tenant's fault:
 /// a tiny analysis with a 5ms `time_budget` that waits ~100ms for a
 /// hog to clear the pool's only thread must still *complete* — and
 /// report the wait in `queue_wait`, not `elapsed`.
-fn queue_wait_is_not_billed_to_the_time_budget<B: PoolBackend>() {
+#[test]
+fn queue_wait_is_not_billed_to_the_time_budget_on_every_backend() {
     // One thread and an effectively unbounded quantum: the hog runs to
     // completion before the tiny tenant is ever activated.
     let pool = AnalysisPool::new(PoolConfig {
@@ -118,84 +104,57 @@ fn queue_wait_is_not_billed_to_the_time_budget<B: PoolBackend>() {
         quantum_pops: u64::MAX,
     });
     let budget = Duration::from_millis(5);
-    let hog_job = submit_kcfa::<B>(&pool, hog(11), 1, EngineLimits::default());
+    let hog_job = submit_kcfa::<Replicated>(&pool, hog(11), 1, EngineLimits::default());
     let limits = EngineLimits {
         time_budget: Some(budget),
         ..EngineLimits::default()
     };
-    let tiny_job = submit_kcfa::<B>(&pool, tiny(), 1, limits);
+    let tiny_job = submit_kcfa::<Replicated>(&pool, tiny(), 1, limits);
 
     let tiny_run = tiny_job.wait();
     assert_eq!(
         tiny_run.fixpoint.status,
         Status::Completed,
-        "{}: a long-queued tiny analysis must not be timed out by its queue wait",
-        B::NAME
+        "a long-queued tiny analysis must not be timed out by its queue wait"
     );
     assert!(
         tiny_run.fixpoint.queue_wait > budget,
-        "{}: expected a queue wait past the whole 5ms budget, got {:?}",
-        B::NAME,
+        "expected a queue wait past the whole 5ms budget, got {:?}",
         tiny_run.fixpoint.queue_wait
     );
     assert!(
         tiny_run.fixpoint.elapsed < budget,
-        "{}: the tiny run itself should finish within its budget, took {:?}",
-        B::NAME,
+        "the tiny run itself should finish within its budget, took {:?}",
         tiny_run.fixpoint.elapsed
     );
     assert_eq!(hog_job.wait().fixpoint.status, Status::Completed);
     pool.shutdown();
 }
 
-#[test]
-fn queue_wait_is_not_billed_to_the_time_budget_on_every_backend() {
-    let backends = backend_selection();
-    if backends.replicated {
-        queue_wait_is_not_billed_to_the_time_budget::<Replicated>();
-    }
-    if backends.sharded {
-        queue_wait_is_not_billed_to_the_time_budget::<Sharded>();
-    }
-}
-
 /// Cancelling a still-queued request must resolve it as `Cancelled`
 /// without ever running it: zero iterations, zero elapsed work.
-fn cancel_while_queued_runs_nothing<B: PoolBackend>() {
+#[test]
+fn cancel_while_queued_runs_nothing_on_every_backend() {
     let pool = AnalysisPool::new(PoolConfig {
         threads: 1,
         queue_depth: 16,
         quantum_pops: u64::MAX,
     });
-    let hog_job = submit_kcfa::<B>(&pool, hog(10), 1, EngineLimits::default());
-    let queued = submit_kcfa::<B>(&pool, tiny(), 1, EngineLimits::default());
+    let hog_job = submit_kcfa::<Replicated>(&pool, hog(10), 1, EngineLimits::default());
+    let queued = submit_kcfa::<Replicated>(&pool, tiny(), 1, EngineLimits::default());
     queued.cancel();
     let run = queued.wait();
     assert_eq!(
         run.fixpoint.status,
         Status::Cancelled,
-        "{}: cancelling a queued request must resolve it as Cancelled",
-        B::NAME
+        "cancelling a queued request must resolve it as Cancelled"
     );
     assert_eq!(
-        run.fixpoint.iterations,
-        0,
-        "{}: a cancelled-before-activation run must do zero evaluations",
-        B::NAME
+        run.fixpoint.iterations, 0,
+        "a cancelled-before-activation run must do zero evaluations"
     );
     assert_eq!(hog_job.wait().fixpoint.status, Status::Completed);
     pool.shutdown();
-}
-
-#[test]
-fn cancel_while_queued_runs_nothing_on_every_backend() {
-    let backends = backend_selection();
-    if backends.replicated {
-        cancel_while_queued_runs_nothing::<Replicated>();
-    }
-    if backends.sharded {
-        cancel_while_queued_runs_nothing::<Sharded>();
-    }
 }
 
 /// Round-robin fairness: on a single pool thread, a worst-case-family
@@ -205,23 +164,23 @@ fn cancel_while_queued_runs_nothing_on_every_backend() {
 /// observing `Cancelled`, which is only possible if it had work left.
 /// A starvation-prone scheduler (run-to-completion) would instead
 /// finish the hog first and the cancel would land on a completed run.
-fn hog_cannot_starve_small_tenants<B: PoolBackend>() {
+#[test]
+fn hog_cannot_starve_small_tenants_on_every_backend() {
     let pool = AnalysisPool::new(PoolConfig {
         threads: 1,
         queue_depth: 32,
         quantum_pops: 256,
     });
-    let hog_job = submit_kcfa::<B>(&pool, hog(12), 1, EngineLimits::default());
+    let hog_job = submit_kcfa::<Replicated>(&pool, hog(12), 1, EngineLimits::default());
     let smalls: Vec<KcfaJob> = (0..8)
-        .map(|_| submit_kcfa::<B>(&pool, tiny(), 1, EngineLimits::default()))
+        .map(|_| submit_kcfa::<Replicated>(&pool, tiny(), 1, EngineLimits::default()))
         .collect();
     for (i, job) in smalls.into_iter().enumerate() {
         let run = job.wait();
         assert_eq!(
             run.fixpoint.status,
             Status::Completed,
-            "{}: small tenant {i} starved behind the hog",
-            B::NAME
+            "small tenant {i} starved behind the hog"
         );
     }
     hog_job.cancel();
@@ -229,38 +188,26 @@ fn hog_cannot_starve_small_tenants<B: PoolBackend>() {
     assert_eq!(
         hog_run.fixpoint.status,
         Status::Cancelled,
-        "{}: the hog should still have been mid-run when the smalls finished",
-        B::NAME
+        "the hog should still have been mid-run when the smalls finished"
     );
     assert!(
         hog_run.fixpoint.iterations > 0,
-        "{}: the hog should have made some progress before cancellation",
-        B::NAME
+        "the hog should have made some progress before cancellation"
     );
     pool.shutdown();
 }
 
-#[test]
-fn hog_cannot_starve_small_tenants_on_every_backend() {
-    let backends = backend_selection();
-    if backends.replicated {
-        hog_cannot_starve_small_tenants::<Replicated>();
-    }
-    if backends.sharded {
-        hog_cannot_starve_small_tenants::<Sharded>();
-    }
-}
-
 /// A tenant whose transfer function panics aborts alone: its
 /// pool-mates all complete, on fixpoints byte-identical to solo runs.
-fn panicking_tenant_spares_its_siblings<B: PoolBackend>() {
+#[test]
+fn panicking_tenant_spares_its_siblings_on_every_backend() {
     use cfa::analysis::fabric::FaultPlan;
     quiet_injected_panics();
     let pool = AnalysisPool::new(PoolConfig {
         threads: 2,
         ..PoolConfig::default()
     });
-    let doomed = submit_kcfa::<B>(
+    let doomed = submit_kcfa::<Replicated>(
         &pool,
         hog(10),
         1,
@@ -269,7 +216,7 @@ fn panicking_tenant_spares_its_siblings<B: PoolBackend>() {
     let siblings: Vec<(&str, Arc<CpsProgram>, KcfaJob)> = suite_programs()
         .into_iter()
         .map(|(name, p)| {
-            let job = submit_kcfa::<B>(&pool, Arc::clone(&p), 1, EngineLimits::default());
+            let job = submit_kcfa::<Replicated>(&pool, Arc::clone(&p), 1, EngineLimits::default());
             (name, p, job)
         })
         .collect();
@@ -277,15 +224,13 @@ fn panicking_tenant_spares_its_siblings<B: PoolBackend>() {
     let doomed_run = doomed.wait();
     let Status::Aborted { message, .. } = &doomed_run.fixpoint.status else {
         panic!(
-            "{}: expected the planned panic to abort the tenant, got {:?}",
-            B::NAME,
+            "expected the planned panic to abort the tenant, got {:?}",
             doomed_run.fixpoint.status
         );
     };
     assert!(
         message.contains("injected fault: panic at evaluation 50"),
-        "{}: abort message {message:?} should carry the injected payload",
-        B::NAME
+        "abort message {message:?} should carry the injected payload"
     );
 
     for (name, p, job) in siblings {
@@ -293,29 +238,16 @@ fn panicking_tenant_spares_its_siblings<B: PoolBackend>() {
         assert_eq!(
             pooled.fixpoint.status,
             Status::Completed,
-            "{}/{name}: sibling of a panicking tenant must still complete",
-            B::NAME
+            "{name}: sibling of a panicking tenant must still complete"
         );
         let solo = analyze_kcfa(&p, 1, EngineLimits::default());
         assert_eq!(
             fixpoint_of(&pooled.fixpoint),
             fixpoint_of(&solo.fixpoint),
-            "{}/{name}: sibling fixpoint perturbed by a pool-mate's panic",
-            B::NAME
+            "{name}: sibling fixpoint perturbed by a pool-mate's panic"
         );
     }
     pool.shutdown();
-}
-
-#[test]
-fn panicking_tenant_spares_its_siblings_on_every_backend() {
-    let backends = backend_selection();
-    if backends.replicated {
-        panicking_tenant_spares_its_siblings::<Replicated>();
-    }
-    if backends.sharded {
-        panicking_tenant_spares_its_siblings::<Sharded>();
-    }
 }
 
 /// Dropping the pool (instead of calling `shutdown`) must still drain

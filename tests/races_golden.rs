@@ -6,10 +6,8 @@
 //! * the join-synchronized and CAS-guarded programs produce zero
 //!   reports;
 //! * the report is byte-identical no matter which engine computed the
-//!   fixpoint — sequential, replicated-parallel, and sharded-parallel,
-//!   each in both evaluation modes (the parallel side honors
-//!   `CFA_STORE_BACKEND`, so the CI matrix gates each backend in
-//!   isolation);
+//!   fixpoint — sequential and sharded-parallel, each in both
+//!   evaluation modes;
 //! * the agreed reports on the random concurrent family match a
 //!   committed artifact (`CFA_BLESS=1` regenerates it), because engine
 //!   agreement alone cannot see a regression in the detector they all
@@ -19,16 +17,14 @@ use cfa::analysis::engine::{run_fixpoint_with, EngineLimits, EvalMode, FixpointR
 use cfa::analysis::flatcfa::{AddrM, FlatCfaMachine, FlatPolicy, MConfig, ValM};
 use cfa::analysis::kcfa::KCfaMachine;
 use cfa::analysis::races::{races_kcfa, races_mcfa, races_poly_kcfa, RaceReport};
-use cfa::analysis::{run_fixpoint_parallel_on, Replicated, Sharded};
+use cfa::analysis::{run_fixpoint_parallel_on, Sharded};
 use cfa_testsupport::{
-    backend_selection, check_golden, golden_racy_programs, golden_synchronized_programs,
-    PAR_THREADS,
+    check_golden, golden_racy_programs, golden_synchronized_programs, PAR_THREADS,
 };
 
 /// Which evaluation modes to sweep. `CFA_EVAL_MODE` narrows the run to
 /// one mode (`semi-naive` or `full-reeval`) so the CI race matrix can
-/// pin backend × mode per leg; anything else (including unset) means
-/// both.
+/// pin one mode per leg; anything else (including unset) means both.
 fn selected_modes() -> Vec<EvalMode> {
     match std::env::var("CFA_EVAL_MODE").as_deref() {
         Ok("semi-naive") => vec![EvalMode::SemiNaive],
@@ -40,32 +36,19 @@ fn selected_modes() -> Vec<EvalMode> {
 /// Race reports for one program from every selected engine, labeled.
 fn kcfa_reports(src: &str, k: usize) -> Vec<(String, RaceReport)> {
     let p = cfa::compile(src).expect("golden program compiles");
-    let backends = backend_selection();
     let mut out = Vec::new();
     for mode in selected_modes() {
         let r = run_fixpoint_with(&mut KCfaMachine::new(&p, k), EngineLimits::default(), mode);
         assert!(r.status.is_complete(), "sequential {mode:?} incomplete");
         out.push((format!("sequential {mode:?}"), races_kcfa(&p, k, &r)));
-        if backends.replicated {
-            let r = run_fixpoint_parallel_on::<Replicated, _>(
-                &mut KCfaMachine::new(&p, k),
-                PAR_THREADS,
-                EngineLimits::default(),
-                mode,
-            );
-            assert!(r.status.is_complete(), "replicated {mode:?} incomplete");
-            out.push((format!("replicated {mode:?}"), races_kcfa(&p, k, &r)));
-        }
-        if backends.sharded {
-            let r = run_fixpoint_parallel_on::<Sharded, _>(
-                &mut KCfaMachine::new(&p, k),
-                PAR_THREADS,
-                EngineLimits::default(),
-                mode,
-            );
-            assert!(r.status.is_complete(), "sharded {mode:?} incomplete");
-            out.push((format!("sharded {mode:?}"), races_kcfa(&p, k, &r)));
-        }
+        let r = run_fixpoint_parallel_on::<Sharded, _>(
+            &mut KCfaMachine::new(&p, k),
+            PAR_THREADS,
+            EngineLimits::default(),
+            mode,
+        );
+        assert!(r.status.is_complete(), "sharded {mode:?} incomplete");
+        out.push((format!("sharded {mode:?}"), races_kcfa(&p, k, &r)));
     }
     out
 }
@@ -75,7 +58,6 @@ fn kcfa_reports(src: &str, k: usize) -> Vec<(String, RaceReport)> {
 /// [`FlatPolicy::LastKCalls`].
 fn flat_reports(src: &str, bound: usize, policy: FlatPolicy) -> Vec<(String, RaceReport)> {
     let p = cfa::compile(src).expect("golden program compiles");
-    let backends = backend_selection();
     let mk = || FlatCfaMachine::new(&p, bound, policy);
     let detect = |r: &FixpointResult<MConfig, AddrM, ValM>| match policy {
         FlatPolicy::TopMFrames => races_mcfa(&p, bound, r),
@@ -86,26 +68,14 @@ fn flat_reports(src: &str, bound: usize, policy: FlatPolicy) -> Vec<(String, Rac
         let r = run_fixpoint_with(&mut mk(), EngineLimits::default(), mode);
         assert!(r.status.is_complete(), "sequential {mode:?} incomplete");
         out.push((format!("sequential {mode:?}"), detect(&r)));
-        if backends.replicated {
-            let r = run_fixpoint_parallel_on::<Replicated, _>(
-                &mut mk(),
-                PAR_THREADS,
-                EngineLimits::default(),
-                mode,
-            );
-            assert!(r.status.is_complete(), "replicated {mode:?} incomplete");
-            out.push((format!("replicated {mode:?}"), detect(&r)));
-        }
-        if backends.sharded {
-            let r = run_fixpoint_parallel_on::<Sharded, _>(
-                &mut mk(),
-                PAR_THREADS,
-                EngineLimits::default(),
-                mode,
-            );
-            assert!(r.status.is_complete(), "sharded {mode:?} incomplete");
-            out.push((format!("sharded {mode:?}"), detect(&r)));
-        }
+        let r = run_fixpoint_parallel_on::<Sharded, _>(
+            &mut mk(),
+            PAR_THREADS,
+            EngineLimits::default(),
+            mode,
+        );
+        assert!(r.status.is_complete(), "sharded {mode:?} incomplete");
+        out.push((format!("sharded {mode:?}"), detect(&r)));
     }
     out
 }

@@ -2,10 +2,10 @@
 //!
 //! For random programs and random machine/context configurations, the
 //! semi-naive fixpoint must equal the full-re-evaluation fixpoint must
-//! equal the reference fixpoint — for the sequential engine and both
-//! 3-thread parallel backends (replicated and sharded stores).
-//! `cfa_testsupport::assert_engines_agree` (called through the
-//! per-family sweeps) runs exactly that six-engine matrix + oracle.
+//! equal the reference fixpoint — for the sequential engine and the
+//! 3-thread sharded parallel engine. `cfa_testsupport::assert_engines_agree`
+//! (called through the per-family sweeps) runs exactly that
+//! four-engine matrix + oracle.
 //!
 //! Beyond agreement, the suite checks the *point* of semi-naive
 //! evaluation: on feedback-heavy workloads the delta engine feeds
@@ -22,7 +22,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// Random Scheme program × random context depth, across every CPS
-    /// machine family: all five engines agree with the oracle.
+    /// machine family: all four engines agree with the oracle.
     #[test]
     fn random_scheme_semi_naive_equals_full_equals_reference(
         seed in 0u64..10_000,
@@ -43,7 +43,7 @@ proptest! {
     }
 
     /// The sharded backend keeps exact per-row semi-naive deltas on the
-    /// *shared* store (no replica pinning): for random programs, its
+    /// *shared* store: for random programs, its
     /// semi-naive fixpoint matches its own full re-evaluation and the
     /// sequential engine — facts, bound addresses, and configurations.
     #[test]
@@ -52,11 +52,6 @@ proptest! {
         k in 0usize..2,
     ) {
         use cfa::analysis::shardstore::run_fixpoint_sharded_with;
-        if !cfa_testsupport::backend_selection().sharded {
-            // Honor the CI backend matrix: the replicated-only leg must
-            // not exercise the sharded engine.
-            return Ok(());
-        }
         let src = random_scheme_program(seed, 30);
         let p = cfa::compile(&src).expect("generated programs compile");
         let seq = run_fixpoint_with(

@@ -6,15 +6,15 @@
 //! * **double-join after an epoch-gate skip** — a delta re-delivered
 //!   through a duplicate wakeup must die at the gate, not re-join
 //!   (asserted via *exact* join counts and delta-fact counts);
-//! * **deltas across parallel broadcast merges** — a 2-worker run whose
-//!   facts cross replicas must reach the sequential fixpoint with the
-//!   same total lattice growth per derivation.
+//! * **deltas across workers** — a 2-worker sharded run whose facts
+//!   cross workers must reach the sequential fixpoint.
 
 use cfa::analysis::engine::{
     run_fixpoint_with, AbstractMachine, EngineLimits, EvalMode, Status, TrackedStore,
 };
 use cfa::analysis::kcfa::{analyze_kcfa, KCfaMachine};
-use cfa::analysis::parallel::{run_fixpoint_parallel_with, ParallelMachine};
+use cfa::analysis::parallel::{run_fixpoint_parallel_on, ParallelMachine, Replicated, Sharded};
+use cfa::analysis::pool::{AnalysisPool, PoolConfig};
 use std::collections::BTreeSet;
 
 /// Config 0 pushes the reader (10) and two growers (1, 2). The growers
@@ -69,37 +69,56 @@ fn two_waves_both_reach_the_delta_reader() {
     );
 }
 
-/// The exact-count scenario, single parallel worker for a deterministic
-/// schedule: root, reader (empty first visit), grower 1 (wakes reader),
-/// grower 2 (wakes reader again), one justified re-run that sees the
-/// combined delta {7, 8}, then one duplicate pop that the epoch gate
-/// must absorb. Every join is accounted for — a re-delivered delta that
-/// joined again would show up in all three counters.
+/// The exact-count scenario on the one-worker fabric — a pool tenant
+/// and a one-worker sharded run — for a deterministic schedule: root,
+/// reader (empty first visit), grower 1 (wakes reader), grower 2 (wakes
+/// reader again), one justified re-run that sees the combined delta
+/// {7, 8}, then one duplicate pop that the epoch gate must absorb.
+/// Every join is accounted for — a re-delivered delta that joined again
+/// would show up in all three counters.
 #[test]
 fn redelivered_deltas_do_not_double_join() {
-    let r = run_fixpoint_parallel_with(
+    let pool = AnalysisPool::new(PoolConfig {
+        threads: 1,
+        ..PoolConfig::default()
+    });
+    let tenant = pool
+        .submit::<Replicated, _>(TwoWaveCopier, EngineLimits::default(), EvalMode::SemiNaive)
+        .wait()
+        .fixpoint;
+    pool.shutdown();
+    let sharded = run_fixpoint_parallel_on::<Sharded, _>(
         &mut TwoWaveCopier,
         1,
         EngineLimits::default(),
         EvalMode::SemiNaive,
     );
-    assert_eq!(r.status, Status::Completed);
-    assert_eq!(r.wakeups, 2, "each wave wakes the reader once");
-    assert_eq!(r.skipped, 1, "the duplicate wakeup dies at the epoch gate");
-    assert_eq!(
-        r.iterations, 5,
-        "root, first reader visit, two growers, one justified re-run"
-    );
-    // Joins: one per grower, plus the reader's two visits (first visit
-    // joins its empty delta, the re-run joins {7, 8}).
-    assert_eq!(r.store.join_count(), 4, "exactly four join calls");
-    // Ids scanned: 1 + 1 from the growers, 0 + 2 from the reader. A
-    // double-joined delta would scan 2 more.
-    assert_eq!(r.store.value_join_count(), 4, "exactly four ids scanned");
-    // Lattice growth: {7, 8} into address 0 and into address 1, each
-    // exactly once.
-    assert_eq!(r.delta_facts, 4, "every fact derived exactly once");
-    assert_eq!(r.store.read(&1), [7u32, 8].into_iter().collect());
+    for (r, label) in [(tenant, "pool tenant"), (sharded, "sharded")] {
+        assert_eq!(r.status, Status::Completed, "{label}");
+        assert_eq!(r.wakeups, 2, "{label}: each wave wakes the reader once");
+        assert_eq!(
+            r.skipped, 1,
+            "{label}: the duplicate wakeup dies at the epoch gate"
+        );
+        assert_eq!(
+            r.iterations, 5,
+            "{label}: root, first reader visit, two growers, one justified re-run"
+        );
+        // Joins: one per grower, plus the reader's two visits (first
+        // visit joins its empty delta, the re-run joins {7, 8}).
+        assert_eq!(r.store.join_count(), 4, "{label}: exactly four join calls");
+        // Ids scanned: 1 + 1 from the growers, 0 + 2 from the reader. A
+        // double-joined delta would scan 2 more.
+        assert_eq!(
+            r.store.value_join_count(),
+            4,
+            "{label}: exactly four ids scanned"
+        );
+        // Lattice growth: {7, 8} into address 0 and into address 1,
+        // each exactly once.
+        assert_eq!(r.delta_facts, 4, "{label}: every fact derived exactly once");
+        assert_eq!(r.store.read(&1), [7u32, 8].into_iter().collect(), "{label}");
+    }
 }
 
 /// The same two-wave shape expressed as a real program: under 0CFA both
@@ -120,11 +139,11 @@ fn scheme_two_wave_address_keeps_both_waves() {
     }
 }
 
-/// Feedback across a 2-worker split: facts derived on one replica reach
-/// the other only through broadcast merges, and the merged rows must
-/// land in the receiving replica's delta logs (a merge that bypassed
-/// the logs would starve that replica's semi-naive re-runs). The unique
-/// fixpoint is the oracle.
+/// Feedback across a 2-worker split: facts one worker derives land in
+/// shared rows that configurations pinned to the other worker read,
+/// and that growth must reach their semi-naive re-runs as delta (a
+/// join that bypassed the row's delta log would starve them). The
+/// unique fixpoint is the oracle.
 #[test]
 fn parallel_merge_preserves_deltas_for_pinned_configs() {
     let src = "(define (count n) (if (zero? n) 0 (count (- n 1)))) (count 3)";
@@ -135,7 +154,7 @@ fn parallel_merge_preserves_deltas_for_pinned_configs() {
         EvalMode::SemiNaive,
     );
     for _ in 0..5 {
-        let par = run_fixpoint_parallel_with(
+        let par = run_fixpoint_parallel_on::<Sharded, _>(
             &mut KCfaMachine::new(&p, 1),
             2,
             EngineLimits::default(),

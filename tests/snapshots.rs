@@ -1,7 +1,7 @@
 //! Golden snapshot suite: the cross-*version* regression net.
 //!
 //! Every workload-suite program is normalized through the full engine
-//! matrix ([`cfa_testsupport::canon_snapshot_matrix`] asserts all seven
+//! matrix ([`cfa_testsupport::canon_snapshot_matrix`] asserts all five
 //! engine configurations serialize byte-identically) and the agreed
 //! normal form must match the artifact committed under `tests/golden/`
 //! — so a semantics change shows up as a reviewable diff of a checked

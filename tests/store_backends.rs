@@ -10,7 +10,8 @@
 use cfa::analysis::engine::{
     run_fixpoint, run_fixpoint_with, AbstractMachine, EngineLimits, EvalMode, Status, TrackedStore,
 };
-use cfa::analysis::parallel::ParallelMachine;
+use cfa::analysis::parallel::{ParallelMachine, Replicated};
+use cfa::analysis::pool::{AnalysisPool, PoolConfig};
 use cfa::analysis::shardstore::{run_fixpoint_sharded, run_fixpoint_sharded_with};
 use cfa_testsupport::rendezvous::Rendezvous;
 use std::sync::atomic::Ordering;
@@ -56,8 +57,8 @@ fn rendezvous_fixpoint_matches_sequential() {
     assert_eq!(r.store.read(&6), [42u8].into_iter().collect());
 }
 
-/// A feedback machine big enough to cross the engine's 256-pop
-/// watermark cadence: configs `1..=n` each grow address 0, and the
+/// A feedback machine big enough to cross the engines' 64-pop
+/// (`LIMIT_CHECK_CADENCE`) watermark cadence: configs `1..=n` each grow address 0, and the
 /// copier (config 1000) semi-naively forwards **only the delta** of
 /// address 0 into address 1. If a mid-run delta-log trim were unsound,
 /// the copier would miss the values whose log span was dropped and
@@ -133,9 +134,9 @@ fn watermark_trim_triggers_sound_full_reeval() {
     assert_eq!(clean.store.read(&1), r.store.read(&1));
 }
 
-/// The watermark is honored by both parallel backends too: each
-/// replica (replicated) or each shard owner (sharded) trims its share,
-/// and the fixpoint is unaffected.
+/// The watermark is honored by both fabric backends too: a pool
+/// tenant trims its private store, the sharded workers trim the shared
+/// one, and the fixpoint is unaffected.
 #[test]
 fn watermark_is_sound_under_both_parallel_backends() {
     let limits = EngineLimits {
@@ -143,21 +144,20 @@ fn watermark_is_sound_under_both_parallel_backends() {
         ..EngineLimits::default()
     };
     let expect = run_fixpoint(&mut Grower { writes: 600 }, EngineLimits::default());
+    let pool = AnalysisPool::new(PoolConfig::default());
+    let tenant = pool
+        .submit::<Replicated, _>(Grower { writes: 600 }, limits.clone(), EvalMode::SemiNaive)
+        .wait()
+        .fixpoint;
+    pool.shutdown();
+    assert_eq!(tenant.status, Status::Completed, "pool tenant");
+    assert!(
+        tenant.store.delta_log_floor() > 0,
+        "the tenant's watermark trim must actually fire mid-run"
+    );
+    assert_eq!(tenant.store.read(&0), expect.store.read(&0));
+    assert_eq!(tenant.store.read(&1), expect.store.read(&1));
     for threads in [2, 3] {
-        let rep = cfa::analysis::parallel::run_fixpoint_parallel_with(
-            &mut Grower { writes: 600 },
-            threads,
-            limits.clone(),
-            EvalMode::SemiNaive,
-        );
-        assert_eq!(
-            rep.status,
-            Status::Completed,
-            "replicated threads={threads}"
-        );
-        assert_eq!(rep.store.read(&0), expect.store.read(&0));
-        assert_eq!(rep.store.read(&1), expect.store.read(&1));
-
         let sh = run_fixpoint_sharded_with(
             &mut Grower { writes: 600 },
             threads,

@@ -2,11 +2,6 @@
 //! counters must be mirrored exactly by its merged trace, rings must
 //! degrade predictably (drop-oldest + `truncated`), and a disabled
 //! trace must change nothing about the fixpoint.
-//!
-//! The parallel legs honor `CFA_STORE_BACKEND`
-//! (`replicated` | `sharded` | `both`), mirroring the differential
-//! suites, so the CI telemetry matrix can gate each backend in
-//! isolation.
 
 use cfa::analysis::engine::{run_fixpoint_with, EngineLimits, EvalMode};
 use cfa::analysis::kcfa::KCfaMachine;
@@ -14,7 +9,7 @@ use cfa::analysis::parallel::{run_fixpoint_parallel_on, Replicated, Sharded};
 use cfa::analysis::pool::{AnalysisPool, PoolConfig};
 use cfa::analysis::telemetry::{TraceConfig, TraceEventKind, TraceLevel};
 use cfa::analysis::Status;
-use cfa_testsupport::{backend_selection, fixpoint_of, PAR_THREADS};
+use cfa_testsupport::{fixpoint_of, PAR_THREADS};
 
 /// A suite program with enough fan-out that parallel runs steal, wake,
 /// and skip (the same source family the differential suites chew on).
@@ -55,34 +50,23 @@ fn assert_trace_matches_counters<C, A, V>(
 }
 
 /// `iterations + skipped` has a matching eval/skip event in the merged
-/// trace — sequential and both parallel backends, both eval modes.
+/// trace — sequential and sharded, both eval modes (pool tenants are
+/// held to the same invariant in `pool_jobs_trace_quanta_and_metrics_count_them`).
 #[test]
 fn eval_and_skip_events_match_engine_counters_everywhere() {
     let p = program();
-    let backends = backend_selection();
     for mode in [EvalMode::SemiNaive, EvalMode::FullReeval] {
         for level in [TraceConfig::counters(), TraceConfig::full()] {
             let seq = run_fixpoint_with(&mut KCfaMachine::new(&p, 1), limits_at(level), mode);
             assert_trace_matches_counters(&format!("sequential {mode:?} {level:?}"), &seq);
 
-            if backends.replicated {
-                let r = run_fixpoint_parallel_on::<Replicated, _>(
-                    &mut KCfaMachine::new(&p, 1),
-                    PAR_THREADS,
-                    limits_at(level),
-                    mode,
-                );
-                assert_trace_matches_counters(&format!("replicated {mode:?} {level:?}"), &r);
-            }
-            if backends.sharded {
-                let s = run_fixpoint_parallel_on::<Sharded, _>(
-                    &mut KCfaMachine::new(&p, 1),
-                    PAR_THREADS,
-                    limits_at(level),
-                    mode,
-                );
-                assert_trace_matches_counters(&format!("sharded {mode:?} {level:?}"), &s);
-            }
+            let s = run_fixpoint_parallel_on::<Sharded, _>(
+                &mut KCfaMachine::new(&p, 1),
+                PAR_THREADS,
+                limits_at(level),
+                mode,
+            );
+            assert_trace_matches_counters(&format!("sharded {mode:?} {level:?}"), &s);
         }
     }
 }
@@ -93,47 +77,32 @@ fn eval_and_skip_events_match_engine_counters_everywhere() {
 #[test]
 fn two_worker_totals_equal_sum_of_per_worker_rings() {
     let p = program();
-    let backends = backend_selection();
-    let check = |label: &str, r: &cfa::analysis::engine::FixpointResult<_, _, _>| {
-        assert_eq!(r.status, Status::Completed, "{label}");
-        assert_eq!(r.trace.workers.len(), 2, "{label}: one lane per worker");
-        let lane_sum = |kind| -> u64 { r.trace.workers.iter().map(|w| w.count(kind)).sum() };
-        assert_eq!(
-            lane_sum(TraceEventKind::EvalStart),
-            r.iterations,
-            "{label}: iterations == Σ per-worker eval events"
+    let r = run_fixpoint_parallel_on::<Sharded, _>(
+        &mut KCfaMachine::new(&p, 1),
+        2,
+        limits_at(TraceConfig::full()),
+        EvalMode::SemiNaive,
+    );
+    assert_eq!(r.status, Status::Completed);
+    assert_eq!(r.trace.workers.len(), 2, "one lane per worker");
+    let lane_sum = |kind| -> u64 { r.trace.workers.iter().map(|w| w.count(kind)).sum() };
+    assert_eq!(
+        lane_sum(TraceEventKind::EvalStart),
+        r.iterations,
+        "iterations == Σ per-worker eval events"
+    );
+    assert_eq!(
+        lane_sum(TraceEventKind::GateSkip),
+        r.skipped,
+        "skips == Σ per-worker skip events"
+    );
+    for lane in &r.trace.workers {
+        let ts: Vec<u64> = lane.events.iter().map(|e| e.t_us).collect();
+        assert!(
+            ts.windows(2).all(|w| w[0] <= w[1]),
+            "lane {} timestamps are monotone",
+            lane.worker
         );
-        assert_eq!(
-            lane_sum(TraceEventKind::GateSkip),
-            r.skipped,
-            "{label}: skips == Σ per-worker skip events"
-        );
-        for lane in &r.trace.workers {
-            let ts: Vec<u64> = lane.events.iter().map(|e| e.t_us).collect();
-            assert!(
-                ts.windows(2).all(|w| w[0] <= w[1]),
-                "{label}: lane {} timestamps are monotone",
-                lane.worker
-            );
-        }
-    };
-    if backends.replicated {
-        let r = run_fixpoint_parallel_on::<Replicated, _>(
-            &mut KCfaMachine::new(&p, 1),
-            2,
-            limits_at(TraceConfig::full()),
-            EvalMode::SemiNaive,
-        );
-        check("replicated", &r);
-    }
-    if backends.sharded {
-        let s = run_fixpoint_parallel_on::<Sharded, _>(
-            &mut KCfaMachine::new(&p, 1),
-            2,
-            limits_at(TraceConfig::full()),
-            EvalMode::SemiNaive,
-        );
-        check("sharded", &s);
     }
 }
 
