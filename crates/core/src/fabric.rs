@@ -50,7 +50,7 @@
 //! the store-bytes watermark trims. Two backends implement it: the
 //! sharded multi-worker backend ([`crate::shardstore`], whose messages
 //! route growth, dependency and wake notifications to row owners) and
-//! the one-worker private store of a pool tenant ([`crate::parallel`],
+//! the one-worker private store of a pool tenant ([`crate::pool`],
 //! which sends no messages). The differential suites prove both reach
 //! the sequential engine's fixpoint through this one loop.
 

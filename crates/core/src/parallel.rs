@@ -1,25 +1,12 @@
-//! The store backends of the fixpoint fabric, one per run shape.
+//! The store-backend selectors, one per run shape.
 //!
 //! A run with **N workers** uses the shared address-sharded store
 //! ([`crate::shardstore`]), selected by [`Sharded`] — the one
 //! [`StoreBackend`] that [`run_fixpoint_parallel_on`] dispatches to.
 //! A run with **one worker** needs no sharing: the sequential engine
 //! ([`crate::engine::run_fixpoint`]) and every [`crate::pool`] tenant
-//! keep a private [`AbsStore`]. [`Replicated`] selects that private
-//! store for pool tenants (the one [`crate::pool::PoolBackend`]); its
-//! worker (this module) is the store-specific half
-//! ([`fabric::BackendWorker`]) of a one-worker [`crate::fabric`] loop.
-//!
-//! # The one-worker tenant store
-//!
-//! The tenant keeps the same scheduling tables the sequential engine
-//! keeps (configs, dependency lists with pruning, read sets, last-run
-//! epochs) over its own store, so reads and writes never cross a thread
-//! boundary and no message is ever sent. The fabric's wake queue is
-//! dedup-free, so a configuration woken by several growth events pops
-//! several times and the epoch gate absorbs the duplicates in
-//! O(|reads|) at pop time. When the run stops, the tenant hands its
-//! store over as the result — there is nothing to union.
+//! keep a private [`crate::store::AbsStore`]; [`Replicated`] selects
+//! that tenant store (the one [`crate::pool::PoolBackend`]).
 //!
 //! # Convergence
 //!
@@ -30,13 +17,7 @@
 //! the Scheme and FJ suites, the worst-case family, and random
 //! programs, and `tests/pool.rs` holds pool tenants to their solo runs.
 
-use crate::engine::{
-    AbstractMachine, EngineLimits, EvalMode, FixpointResult, SchedStats, TrackedStore,
-};
-use crate::fabric::{self, Fabric, WorkerCtx};
-use crate::fxhash::FxHashMap;
-use crate::store::AbsStore;
-use std::convert::Infallible;
+use crate::engine::{AbstractMachine, EngineLimits, EvalMode, FixpointResult};
 
 /// An [`AbstractMachine`] that can be driven by N workers at once.
 ///
@@ -53,150 +34,6 @@ pub trait ParallelMachine: AbstractMachine + Send {
     /// per worker after the fixpoint is reached; the union across
     /// workers must be order-insensitive.
     fn absorb(&mut self, worker: Self);
-}
-
-/// The store-specific half of a pool tenant: a private store plus the
-/// scheduling tables of the sequential engine. One worker owns it, so
-/// it has no inter-worker messages ([`Infallible`]).
-struct LocalWorker<M: AbstractMachine> {
-    machine: M,
-    store: AbsStore<M::Addr, M::Val>,
-    configs: Vec<M::Config>,
-    index: FxHashMap<M::Config, usize>,
-    deps: Vec<Vec<usize>>,
-    config_reads: Vec<Vec<u32>>,
-    last_run_epoch: Vec<Option<u64>>,
-    /// Scratch for the woken dependents, recycled across evaluations.
-    woken: Vec<usize>,
-    /// Successor scratch, recycled across evaluations.
-    successors: Vec<M::Config>,
-    /// Tracking-buffer scratch (reads, grew, delta), recycled likewise.
-    bufs: (Vec<u32>, Vec<u32>, Vec<u32>),
-}
-
-impl<M: ParallelMachine> LocalWorker<M> {
-    fn new(machine: M) -> Self {
-        LocalWorker {
-            machine,
-            store: AbsStore::new(),
-            configs: Vec::new(),
-            index: FxHashMap::default(),
-            deps: Vec::new(),
-            config_reads: Vec::new(),
-            last_run_epoch: Vec::new(),
-            woken: Vec::new(),
-            successors: Vec::new(),
-            bufs: Default::default(),
-        }
-    }
-}
-
-impl<M> fabric::BackendWorker for LocalWorker<M>
-where
-    M: ParallelMachine,
-    M::Config: Send + Sync,
-    M::Addr: Send + Sync,
-    M::Val: Send + Sync,
-{
-    type Config = M::Config;
-    type Msg = Infallible;
-
-    fn seed(&mut self, _ctx: &mut WorkerCtx<'_, M::Config, Infallible>) {
-        let mut tracked =
-            TrackedStore::wrap(&mut self.store, None, Vec::new(), Vec::new(), Vec::new());
-        self.machine.seed(&mut tracked);
-    }
-
-    fn intern(&mut self, cfg: M::Config) -> usize {
-        if let Some(&i) = self.index.get(&cfg) {
-            return i;
-        }
-        let i = self.configs.len();
-        self.configs.push(cfg.clone());
-        self.index.insert(cfg, i);
-        self.config_reads.push(Vec::new());
-        self.last_run_epoch.push(None);
-        i
-    }
-
-    fn gated(&self, i: usize) -> bool {
-        match self.last_run_epoch[i] {
-            Some(epoch) => self.config_reads[i]
-                .iter()
-                .all(|&a| self.store.addr_epoch(a) <= epoch),
-            None => false,
-        }
-    }
-
-    /// Evaluates one task (by local index): step, dependency
-    /// registration with pruning, successor dedup, wakeups. Mirrors one
-    /// iteration of [`crate::engine::run_fixpoint`].
-    fn evaluate(&mut self, i: usize, ctx: &mut WorkerCtx<'_, M::Config, Infallible>) {
-        let epoch_at_start = self.store.epoch();
-        let config = self.configs[i].clone();
-        self.successors.clear();
-        let (reads_buf, grew_buf, delta_buf) = &mut self.bufs;
-        reads_buf.clear();
-        grew_buf.clear();
-        let baseline = match ctx.mode() {
-            EvalMode::SemiNaive => self.last_run_epoch[i],
-            EvalMode::FullReeval => None,
-        };
-        let mut tracked = TrackedStore::wrap(
-            &mut self.store,
-            baseline,
-            std::mem::take(reads_buf),
-            std::mem::take(grew_buf),
-            std::mem::take(delta_buf),
-        );
-        self.machine
-            .step(&config, &mut tracked, &mut self.successors);
-        let (reads, grew, delta, step_delta, step_applies) = tracked.into_parts();
-        self.bufs = (reads, grew, delta);
-        ctx.delta_facts += step_delta;
-        ctx.delta_applies += step_applies;
-        self.last_run_epoch[i] = Some(epoch_at_start);
-
-        crate::engine::register_deps(&mut self.deps, &mut self.config_reads, i, &mut self.bufs.0);
-
-        ctx.submit_fresh(&mut self.successors);
-
-        // Wake the dependents of the grown addresses, without is-queued
-        // dedup: the epoch gate disarms duplicates at pop time.
-        let woken = &mut self.woken;
-        woken.clear();
-        for &a in &self.bufs.1 {
-            if let Some(dependents) = self.deps.get(a as usize) {
-                woken.extend_from_slice(dependents);
-            }
-        }
-        woken.sort_unstable();
-        woken.dedup();
-        if !woken.is_empty() {
-            ctx.trace.wake_batch(woken.len() as u64);
-        }
-        for &j in woken.iter() {
-            ctx.wake_local(j);
-        }
-    }
-
-    fn describe(&self, i: usize) -> String {
-        format!("{:?}", self.configs[i])
-    }
-
-    fn on_msg(&mut self, msg: Infallible, _ctx: &mut WorkerCtx<'_, M::Config, Infallible>) {
-        match msg {}
-    }
-
-    fn enforce_watermark(&mut self, watermark: usize) {
-        if self.store.delta_log_bytes() > watermark {
-            self.store.trim_delta_logs();
-        }
-    }
-
-    fn finish(&mut self, sched: &mut SchedStats) {
-        sched.store_resident_bytes = self.store.approx_bytes() as u64;
-    }
 }
 
 /// A multi-worker store backend, as a type-level selector: how N
@@ -218,14 +55,14 @@ pub trait StoreBackend {
         M::Val: Send + Sync;
 }
 
-/// The pool tenant's store: one private [`AbsStore`] per tenant, driven
-/// by a one-worker fabric loop (this module).
+/// The pool tenant's store: one private [`crate::store::AbsStore`] per
+/// tenant, driven by a one-worker fabric loop ([`crate::pool`]).
 #[derive(Copy, Clone, Debug, Default)]
 pub struct Replicated;
 
 impl crate::pool::PoolBackend for Replicated {
     fn tenant<M>(
-        mut machine: M,
+        machine: M,
         limits: EngineLimits,
         mode: EvalMode,
         deposit: Box<dyn FnOnce(crate::pool::PoolRun<M>) + Send>,
@@ -236,35 +73,7 @@ impl crate::pool::PoolBackend for Replicated {
         M::Addr: Send + Sync + Ord + 'static,
         M::Val: Send + Sync + 'static,
     {
-        let fabric: Fabric<M::Config, Infallible> = Fabric::new(1);
-        fabric.submit_root(machine.initial());
-        let backend = LocalWorker::new(machine.fork());
-        // The tenant's store *is* the result: hand it over and absorb
-        // the worker machine.
-        let assemble =
-            move |backend: LocalWorker<M>, status, configs, totals: crate::pool::RunTotals| {
-                machine.absorb(backend.machine);
-                crate::pool::PoolRun {
-                    machine,
-                    fixpoint: FixpointResult {
-                        configs,
-                        store: backend.store,
-                        status,
-                        iterations: totals.iterations,
-                        skipped: totals.skipped,
-                        wakeups: totals.wakeups,
-                        delta_facts: totals.delta_facts,
-                        delta_applies: totals.delta_applies,
-                        sched: totals.sched,
-                        elapsed: totals.elapsed,
-                        queue_wait: totals.queue_wait,
-                        trace: totals.trace,
-                    },
-                }
-            };
-        Box::new(crate::pool::SoloTenant::new(
-            fabric, backend, limits, mode, assemble, deposit,
-        ))
+        Box::new(crate::pool::SoloTenant::new(machine, limits, mode, deposit))
     }
 }
 
@@ -331,7 +140,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Status;
+    use crate::engine::{Status, TrackedStore};
     use crate::pool::{AnalysisPool, PoolConfig};
 
     /// The reader (scheduled first) reads two addresses that two later

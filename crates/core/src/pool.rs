@@ -17,8 +17,9 @@
 //! seen-set, status, stop flag, watchdog meters — lives in the
 //! tenant's own private [`Fabric`]; the pool shares only threads.
 //! A tenant is a parked `fabric::WorkerState` plus its one backend
-//! worker, which keeps a private store ([`crate::parallel::Replicated`]):
-//! whichever pool thread picks the tenant up next resumes the state
+//! worker, which keeps a private store (`TenantWorker`, selected by
+//! [`crate::parallel::Replicated`]): whichever pool thread picks the
+//! tenant up next resumes the state
 //! against the tenant's fabric (`WorkerCtx::resume`), runs a bounded
 //! quantum of `fabric::worker_turn`s, and parks it again. This is
 //! exactly the loop the sharded engine's workers run — one turn is one
@@ -71,11 +72,15 @@
 
 use crate::engine::{
     AbstractMachine, CancelToken, EngineLimits, EvalMode, FixpointResult, SchedStats, Status,
+    TrackedStore,
 };
 use crate::fabric::{self, ArmedFaultPlan, BackendWorker, Fabric, LockRecovered, Turn, WorkerCtx};
+use crate::fxhash::FxHashMap;
 use crate::parallel::ParallelMachine;
+use crate::store::AbsStore;
 use crate::telemetry::{RunTrace, TraceBuffer};
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -183,20 +188,6 @@ impl<M: AbstractMachine> std::fmt::Debug for PoolRun<M> {
     }
 }
 
-/// Run-scheduling totals handed to the tenant's assemble closure when
-/// it finishes.
-pub(crate) struct RunTotals {
-    pub(crate) iterations: u64,
-    pub(crate) skipped: u64,
-    pub(crate) wakeups: u64,
-    pub(crate) delta_facts: u64,
-    pub(crate) delta_applies: u64,
-    pub(crate) sched: SchedStats,
-    pub(crate) elapsed: Duration,
-    pub(crate) queue_wait: Duration,
-    pub(crate) trace: RunTrace,
-}
-
 /// The store a pool tenant keeps, as a type-level selector — implemented
 /// by [`crate::parallel::Replicated`], one private store per tenant.
 pub trait PoolBackend {
@@ -217,16 +208,144 @@ pub trait PoolBackend {
         M::Val: Send + Sync + 'static;
 }
 
-/// A single-slot tenant: a private one-worker [`Fabric`], the backend
-/// worker homed on it, and the parked loop state the quanta resume.
-/// `G` assembles the backend's final state into the result `T` once
-/// the run stops.
-pub(crate) struct SoloTenant<W, T, G>
+/// The store-specific half of a tenant: a private store plus the
+/// scheduling tables of the sequential engine (configs, dependency
+/// lists with pruning, read sets, last-run epochs). One worker owns it,
+/// so reads and writes never cross a thread boundary and no message is
+/// ever sent ([`Infallible`]). The fabric's wake queue is dedup-free,
+/// so a configuration woken by several growth events pops several
+/// times and the epoch gate absorbs the duplicates in O(|reads|).
+struct TenantWorker<M: AbstractMachine> {
+    machine: M,
+    store: AbsStore<M::Addr, M::Val>,
+    configs: Vec<M::Config>,
+    index: FxHashMap<M::Config, usize>,
+    deps: Vec<Vec<usize>>,
+    config_reads: Vec<Vec<u32>>,
+    last_run_epoch: Vec<Option<u64>>,
+    /// Scratch for the woken dependents, recycled across evaluations.
+    woken: Vec<usize>,
+    /// Successor scratch, recycled across evaluations.
+    successors: Vec<M::Config>,
+    /// Tracking-buffer scratch (reads, grew, delta), recycled likewise.
+    bufs: (Vec<u32>, Vec<u32>, Vec<u32>),
+}
+
+impl<M> BackendWorker for TenantWorker<M>
 where
-    W: BackendWorker,
+    M: ParallelMachine,
+    M::Config: Send + Sync,
+    M::Addr: Send + Sync,
+    M::Val: Send + Sync,
 {
-    fabric: Fabric<W::Config, W::Msg>,
-    backend: W,
+    type Config = M::Config;
+    type Msg = Infallible;
+
+    fn seed(&mut self, _ctx: &mut WorkerCtx<'_, M::Config, Infallible>) {
+        let mut tracked =
+            TrackedStore::wrap(&mut self.store, None, Vec::new(), Vec::new(), Vec::new());
+        self.machine.seed(&mut tracked);
+    }
+
+    fn intern(&mut self, cfg: M::Config) -> usize {
+        if let Some(&i) = self.index.get(&cfg) {
+            return i;
+        }
+        let i = self.configs.len();
+        self.configs.push(cfg.clone());
+        self.index.insert(cfg, i);
+        self.config_reads.push(Vec::new());
+        self.last_run_epoch.push(None);
+        i
+    }
+
+    fn gated(&self, i: usize) -> bool {
+        match self.last_run_epoch[i] {
+            Some(epoch) => self.config_reads[i]
+                .iter()
+                .all(|&a| self.store.addr_epoch(a) <= epoch),
+            None => false,
+        }
+    }
+
+    /// Evaluates one task (by local index): step, dependency
+    /// registration with pruning, successor dedup, wakeups. Mirrors one
+    /// iteration of [`crate::engine::run_fixpoint`].
+    fn evaluate(&mut self, i: usize, ctx: &mut WorkerCtx<'_, M::Config, Infallible>) {
+        let epoch_at_start = self.store.epoch();
+        let config = self.configs[i].clone();
+        self.successors.clear();
+        let (reads_buf, grew_buf, delta_buf) = &mut self.bufs;
+        reads_buf.clear();
+        grew_buf.clear();
+        let baseline = match ctx.mode() {
+            EvalMode::SemiNaive => self.last_run_epoch[i],
+            EvalMode::FullReeval => None,
+        };
+        let mut tracked = TrackedStore::wrap(
+            &mut self.store,
+            baseline,
+            std::mem::take(reads_buf),
+            std::mem::take(grew_buf),
+            std::mem::take(delta_buf),
+        );
+        self.machine
+            .step(&config, &mut tracked, &mut self.successors);
+        let (reads, grew, delta, step_delta, step_applies) = tracked.into_parts();
+        self.bufs = (reads, grew, delta);
+        ctx.delta_facts += step_delta;
+        ctx.delta_applies += step_applies;
+        self.last_run_epoch[i] = Some(epoch_at_start);
+
+        crate::engine::register_deps(&mut self.deps, &mut self.config_reads, i, &mut self.bufs.0);
+
+        ctx.submit_fresh(&mut self.successors);
+
+        // Wake the dependents of the grown addresses, without is-queued
+        // dedup: the epoch gate disarms duplicates at pop time.
+        let woken = &mut self.woken;
+        woken.clear();
+        for &a in &self.bufs.1 {
+            if let Some(dependents) = self.deps.get(a as usize) {
+                woken.extend_from_slice(dependents);
+            }
+        }
+        woken.sort_unstable();
+        woken.dedup();
+        if !woken.is_empty() {
+            ctx.trace.wake_batch(woken.len() as u64);
+        }
+        for &j in woken.iter() {
+            ctx.wake_local(j);
+        }
+    }
+
+    fn describe(&self, i: usize) -> String {
+        format!("{:?}", self.configs[i])
+    }
+
+    fn on_msg(&mut self, msg: Infallible, _ctx: &mut WorkerCtx<'_, M::Config, Infallible>) {
+        match msg {}
+    }
+
+    fn enforce_watermark(&mut self, watermark: usize) {
+        if self.store.delta_log_bytes() > watermark {
+            self.store.trim_delta_logs();
+        }
+    }
+
+    fn finish(&mut self, sched: &mut SchedStats) {
+        sched.store_resident_bytes = self.store.approx_bytes() as u64;
+    }
+}
+
+/// One tenant: a private one-worker [`Fabric`], the [`TenantWorker`]
+/// homed on it, the parked loop state the quanta resume, and the
+/// submitted machine the worker's state folds back into.
+pub(crate) struct SoloTenant<M: ParallelMachine> {
+    fabric: Fabric<M::Config, Infallible>,
+    backend: TenantWorker<M>,
+    machine: M,
     /// Parked between quanta; taken while one is running.
     state: Option<fabric::WorkerState>,
     limits: EngineLimits,
@@ -236,46 +355,60 @@ where
     /// here, not at submission.
     started: Option<Instant>,
     seeded: bool,
-    assemble: Option<G>,
-    deposit: Option<Box<dyn FnOnce(T) + Send>>,
+    deposit: Box<dyn FnOnce(PoolRun<M>) + Send>,
 }
 
-impl<W, T, G> SoloTenant<W, T, G>
+impl<M> SoloTenant<M>
 where
-    W: BackendWorker,
-    G: FnOnce(W, Status, Vec<W::Config>, RunTotals) -> T,
+    M: ParallelMachine,
+    M::Config: Send + Sync,
+    M::Addr: Send + Sync,
+    M::Val: Send + Sync,
 {
-    /// Wraps an already-seeded-with-root fabric and its backend worker
-    /// into a schedulable tenant.
+    /// A tenant that drives `machine` to its fixpoint and deposits the
+    /// [`PoolRun`] when it stops.
     pub(crate) fn new(
-        fabric: Fabric<W::Config, W::Msg>,
-        backend: W,
+        machine: M,
         limits: EngineLimits,
         mode: EvalMode,
-        assemble: G,
-        deposit: Box<dyn FnOnce(T) + Send>,
+        deposit: Box<dyn FnOnce(PoolRun<M>) + Send>,
     ) -> Self {
+        let fabric = Fabric::new(1);
+        fabric.submit_root(machine.initial());
         let armed = limits.fault_plan.as_deref().map(ArmedFaultPlan::new);
         let state = fabric::WorkerState::with_trace(TraceBuffer::new(limits.trace));
         SoloTenant {
             fabric,
-            backend,
+            backend: TenantWorker {
+                machine: machine.fork(),
+                store: AbsStore::new(),
+                configs: Vec::new(),
+                index: FxHashMap::default(),
+                deps: Vec::new(),
+                config_reads: Vec::new(),
+                last_run_epoch: Vec::new(),
+                woken: Vec::new(),
+                successors: Vec::new(),
+                bufs: Default::default(),
+            },
+            machine,
             state: Some(state),
             limits,
             armed,
             mode,
             started: None,
             seeded: false,
-            assemble: Some(assemble),
-            deposit: Some(deposit),
+            deposit,
         }
     }
 }
 
-impl<W, T, G> TenantRun for SoloTenant<W, T, G>
+impl<M> TenantRun for SoloTenant<M>
 where
-    W: BackendWorker,
-    G: FnOnce(W, Status, Vec<W::Config>, RunTotals) -> T + Send,
+    M: ParallelMachine,
+    M::Config: Send + Sync,
+    M::Addr: Send + Sync,
+    M::Val: Send + Sync,
 {
     fn quantum(&mut self, max_pops: u64) -> Quantum {
         let first_quantum = self.started.is_none();
@@ -319,9 +452,19 @@ where
             .is_some_and(CancelToken::is_cancelled)
     }
 
+    /// Deposits the run: the tenant's store *is* the result, handed
+    /// over as is, and the worker machine folds into the submitted one.
     fn finish(self: Box<Self>, queue_wait: Duration) {
-        let mut this = *self;
-        let (status, configs) = this.fabric.finish();
+        let SoloTenant {
+            fabric,
+            mut backend,
+            mut machine,
+            state,
+            started,
+            deposit,
+            ..
+        } = *self;
+        let (status, configs) = fabric.finish();
         let fabric::WorkerTotals {
             iterations,
             skipped,
@@ -330,26 +473,26 @@ where
             delta_applies,
             mut sched,
             trace,
-        } = this
-            .state
-            .take()
-            .expect("tenant state parked")
-            .into_totals();
-        this.backend.finish(&mut sched);
-        let totals = RunTotals {
-            iterations,
-            skipped,
-            wakeups,
-            delta_facts,
-            delta_applies,
-            sched,
-            elapsed: this.started.map_or(Duration::ZERO, |s| s.elapsed()),
-            queue_wait,
-            trace: RunTrace::from_buffers(vec![trace]),
-        };
-        let assemble = this.assemble.take().expect("assemble consumed once");
-        let deposit = this.deposit.take().expect("deposit consumed once");
-        deposit(assemble(this.backend, status, configs, totals));
+        } = state.expect("tenant state parked").into_totals();
+        backend.finish(&mut sched);
+        machine.absorb(backend.machine);
+        deposit(PoolRun {
+            machine,
+            fixpoint: FixpointResult {
+                configs,
+                store: backend.store,
+                status,
+                iterations,
+                skipped,
+                wakeups,
+                delta_facts,
+                delta_applies,
+                sched,
+                elapsed: started.map_or(Duration::ZERO, |s| s.elapsed()),
+                queue_wait,
+                trace: RunTrace::from_buffers(vec![trace]),
+            },
+        });
     }
 
     fn finish_cancelled(self: Box<Self>, queue_wait: Duration) {
