@@ -118,14 +118,12 @@ where
     CR: Fn(&RefFixpointResult<M::Config, M::Addr, M::Val>) -> Result<CanonSnapshot, NotComparable>,
 {
     let limits = EngineLimits::from_env;
-    let handles: Vec<_> = MODES
-        .map(|mode| {
-            (
-                Engine::Pooled(mode),
-                pool.submit::<Replicated, M>(mk(), limits(), mode),
-            )
-        })
-        .into();
+    let handles = MODES.map(|mode| {
+        (
+            Engine::Pooled(mode),
+            pool.submit::<Replicated, M>(mk(), limits(), mode),
+        )
+    });
 
     let canon =
         |r: &FixpointResult<M::Config, M::Addr, M::Val>| canon_fix(r).map_err(|e| e.to_string());
