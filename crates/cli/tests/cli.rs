@@ -498,6 +498,20 @@ fn compare_rejects_malformed_snapshots_with_code_2() {
 }
 
 #[test]
+fn compare_rejects_deeply_nested_input_with_code_2() {
+    // 200,000 open brackets: a reader that recursed once per bracket
+    // overflowed the main thread's stack and aborted (exit 134).
+    let deep = write_temp("deep.json", &"[".repeat(200_000));
+    let out = cfa().arg("compare").arg(&deep).arg(&deep).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("malformed") && err.contains("nesting"),
+        "{err}"
+    );
+}
+
+#[test]
 fn dump_refuses_partial_fixpoints() {
     let file = write_temp("dump-partial.scm", "(define (f x) x) (f (f 1))");
     let out_path = std::env::temp_dir().join(format!(

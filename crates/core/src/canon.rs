@@ -26,11 +26,14 @@
 //! run assigns different ids than a sequential run, and the same
 //! engine assigns different ids across versions. Every component of
 //! the normal form is therefore rendered from **compile-deterministic**
-//! data only: λ-term and call-site [`Label`](cfa_syntax::cps::Label)s,
-//! interned variable
+//! data only: λ-term and call-site [`Label`]s, interned variable
 //! *names*, and call-string contexts. Two runs that compute the same
 //! abstract semantics produce byte-identical snapshots no matter which
 //! engine, thread count, or schedule produced them.
+//!
+//! The builder still reads the interned store by id: ids key the memo
+//! that renders each value once and name the `(call, λ)` pairs of the
+//! call graph, but only rendered text is sorted and written out.
 //!
 //! Only a run with [`Status::Completed`] is canonicalizable: a
 //! truncated or aborted fixpoint is a *partial* result, and diffing it
@@ -54,13 +57,16 @@
 use crate::domain::{AVal, AbsBasic, CallString};
 use crate::engine::{FixpointResult, Status};
 use crate::flatcfa::{AddrM, MConfig, ValM};
-use crate::kcfa::{AddrK, KConfig, ValK};
-use crate::reference::RefFixpointResult;
+use crate::fxhash::FxHashSet;
+use crate::kcfa::{AddrK, BEnvK, KConfig, ValK};
+use crate::reference::{RefFixpointResult, RefStore};
+use crate::store::AbsStore;
 use cfa_concrete::base::Slot;
-use cfa_syntax::cps::{AExp, CallId, CallKind, CpsProgram, LamId};
+use cfa_syntax::cps::{AExp, CallId, CallKind, CpsProgram, Label, LamId};
 use cfa_syntax::intern::Symbol;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::hash::Hash;
 
 /// Version of the normal-form layout. Bumped whenever the rendered
 /// shape changes incompatibly; [`diff_snapshots`] reports a version
@@ -148,32 +154,63 @@ pub fn status_token(status: &Status) -> String {
 // ---------------------------------------------------------------------
 // Pretty rendering (compile-deterministic names only)
 // ---------------------------------------------------------------------
+//
+// Every renderer appends to one `String` — no `format!`, no per-binding
+// `Vec<String>` plus `join`: configurations alone are most of a k = 2
+// document's bytes.
 
-fn render_basic(program: &CpsProgram, b: &AbsBasic) -> String {
+fn push_label(out: &mut String, l: Label) {
+    let _ = write!(out, "{l}");
+}
+
+/// Appends a call string the way its `Display` prints it: `⟨3,5⟩`.
+fn push_call_string(out: &mut String, cs: &CallString) {
+    out.push('⟨');
+    for (i, &l) in cs.labels().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_label(out, l);
+    }
+    out.push('⟩');
+}
+
+fn push_basic(out: &mut String, program: &CpsProgram, b: &AbsBasic) {
     match b {
         // `AbsBasic`'s own Display prints the symbol's interner index;
         // the normal form must use the (stable) name instead.
-        AbsBasic::Sym(s) => format!("'{}", program.name(*s)),
-        other => other.to_string(),
+        AbsBasic::Sym(s) => {
+            out.push('\'');
+            out.push_str(program.name(*s));
+        }
+        other => {
+            let _ = write!(out, "{other}");
+        }
     }
 }
 
-fn render_slot(program: &CpsProgram, slot: &Slot) -> String {
-    match slot {
-        Slot::Var(x) => program.name(*x).to_owned(),
-        Slot::Car(l) => format!("car:ℓ{l}"),
-        Slot::Cdr(l) => format!("cdr:ℓ{l}"),
-        Slot::Atom(l) => format!("atom:ℓ{l}"),
-        Slot::ThreadRet(l) => format!("tret:ℓ{l}"),
-    }
+fn push_slot(out: &mut String, program: &CpsProgram, slot: &Slot) {
+    let (prefix, label) = match slot {
+        Slot::Var(x) => return out.push_str(program.name(*x)),
+        Slot::Car(l) => ("car:ℓ", l),
+        Slot::Cdr(l) => ("cdr:ℓ", l),
+        Slot::Atom(l) => ("atom:ℓ", l),
+        Slot::ThreadRet(l) => ("tret:ℓ", l),
+    };
+    out.push_str(prefix);
+    push_label(out, *label);
 }
 
-fn call_site_name(program: &CpsProgram, call: CallId) -> String {
-    format!("ℓ{}", program.call(call).label)
+/// `ℓ…`: a call site's name.
+fn push_call_name(out: &mut String, program: &CpsProgram, call: CallId) {
+    out.push('ℓ');
+    push_label(out, program.call(call).label);
 }
 
-fn lam_name(program: &CpsProgram, lam: LamId) -> String {
-    format!("λℓ{}", program.lam(lam).label)
+/// `λℓ…`: a λ-term's name.
+fn push_lam_name(out: &mut String, program: &CpsProgram, lam: LamId) {
+    out.push_str("λℓ");
+    push_label(out, program.lam(lam).label);
 }
 
 /// One machine family's contribution to the normal form: how to render
@@ -184,39 +221,62 @@ trait CanonFamily {
     /// Configuration type.
     type Config;
     /// Closure-environment component of values.
-    type Env: Clone + Ord;
+    type Env: Clone + Eq + Hash;
     /// Abstract address type.
-    type Addr: Clone + Ord;
+    type Addr: Clone + Eq + Hash;
 
     fn machine(&self) -> &'static str;
     fn params(&self) -> Vec<(String, u64)>;
     fn program(&self) -> &CpsProgram;
-    fn render_env(&self, e: &Self::Env) -> String;
-    fn render_addr(&self, a: &Self::Addr) -> String;
-    fn render_config(&self, c: &Self::Config) -> String;
+    fn push_env(&self, out: &mut String, e: &Self::Env);
+    fn push_addr(&self, out: &mut String, a: &Self::Addr);
+    fn push_config(&self, out: &mut String, c: &Self::Config);
     fn call_of(&self, c: &Self::Config) -> CallId;
     /// Address of variable `x` as seen from configuration `c`.
     fn var_addr(&self, c: &Self::Config, x: Symbol) -> Option<Self::Addr>;
     /// The closure a λ-atom evaluates to at configuration `c`.
-    fn close(&self, c: &Self::Config, lam: LamId) -> AVal<Self::Env, Self::Addr>;
+    fn close(&self, c: &Self::Config, lam: LamId) -> Val<Self>;
 }
 
-fn render_val<F: CanonFamily>(fam: &F, v: &AVal<F::Env, F::Addr>) -> String {
+/// One family's abstract value type.
+type Val<F> = AVal<<F as CanonFamily>::Env, <F as CanonFamily>::Addr>;
+
+/// One family's final store, interned.
+type Store<F> = AbsStore<<F as CanonFamily>::Addr, Val<F>>;
+
+fn push_val<F: CanonFamily>(fam: &F, out: &mut String, v: &Val<F>) {
+    let program = fam.program();
     match v {
-        AVal::Clo { lam, env } => format!(
-            "#<clo {} {}>",
-            lam_name(fam.program(), *lam),
-            fam.render_env(env)
-        ),
-        AVal::Basic(b) => render_basic(fam.program(), b),
-        AVal::Pair { car, cdr } => format!(
-            "#<pair {} · {}>",
-            fam.render_addr(car),
-            fam.render_addr(cdr)
-        ),
-        AVal::Tid { ret } => format!("#<tid {}>", fam.render_addr(ret)),
-        AVal::RetK { ret } => format!("#<retk {}>", fam.render_addr(ret)),
-        AVal::Atom { cell } => format!("#<atom {}>", fam.render_addr(cell)),
+        AVal::Clo { lam, env } => {
+            out.push_str("#<clo ");
+            push_lam_name(out, program, *lam);
+            out.push(' ');
+            fam.push_env(out, env);
+            out.push('>');
+        }
+        AVal::Basic(b) => push_basic(out, program, b),
+        AVal::Pair { car, cdr } => {
+            out.push_str("#<pair ");
+            fam.push_addr(out, car);
+            out.push_str(" · ");
+            fam.push_addr(out, cdr);
+            out.push('>');
+        }
+        AVal::Tid { ret } => {
+            out.push_str("#<tid ");
+            fam.push_addr(out, ret);
+            out.push('>');
+        }
+        AVal::RetK { ret } => {
+            out.push_str("#<retk ");
+            fam.push_addr(out, ret);
+            out.push('>');
+        }
+        AVal::Atom { cell } => {
+            out.push_str("#<atom ");
+            fam.push_addr(out, cell);
+            out.push('>');
+        }
     }
 }
 
@@ -227,7 +287,7 @@ struct KFam<'p> {
 
 impl<'p> CanonFamily for KFam<'p> {
     type Config = KConfig;
-    type Env = crate::kcfa::BEnvK;
+    type Env = BEnvK;
     type Addr = AddrK;
 
     fn machine(&self) -> &'static str {
@@ -242,26 +302,35 @@ impl<'p> CanonFamily for KFam<'p> {
         self.program
     }
 
-    fn render_env(&self, e: &Self::Env) -> String {
-        let binds: Vec<String> = e
-            .iter()
-            .map(|(x, a)| format!("{}↦{}", self.program.name(x), self.render_addr(a)))
-            .collect();
-        format!("{{{}}}", binds.join(", "))
+    fn push_env(&self, out: &mut String, e: &BEnvK) {
+        out.push('{');
+        for (i, (x, a)) in e.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(self.program.name(x));
+            out.push('↦');
+            self.push_addr(out, a);
+        }
+        out.push('}');
     }
 
-    fn render_addr(&self, a: &AddrK) -> String {
-        format!("{}@{}", render_slot(self.program, &a.slot), a.time)
+    fn push_addr(&self, out: &mut String, a: &AddrK) {
+        push_slot(out, self.program, &a.slot);
+        out.push('@');
+        push_call_string(out, &a.time);
     }
 
-    fn render_config(&self, c: &KConfig) -> String {
-        format!(
-            "({} t={} tid={} env={})",
-            call_site_name(self.program, c.call),
-            c.time,
-            c.tid,
-            self.render_env(&c.benv)
-        )
+    fn push_config(&self, out: &mut String, c: &KConfig) {
+        out.push('(');
+        push_call_name(out, self.program, c.call);
+        out.push_str(" t=");
+        push_call_string(out, &c.time);
+        out.push_str(" tid=");
+        push_call_string(out, &c.tid);
+        out.push_str(" env=");
+        self.push_env(out, &c.benv);
+        out.push(')');
     }
 
     fn call_of(&self, c: &KConfig) -> CallId {
@@ -304,21 +373,24 @@ impl<'p> CanonFamily for MFam<'p> {
         self.program
     }
 
-    fn render_env(&self, e: &CallString) -> String {
-        e.to_string()
+    fn push_env(&self, out: &mut String, e: &CallString) {
+        push_call_string(out, e);
     }
 
-    fn render_addr(&self, a: &AddrM) -> String {
-        format!("{}@{}", render_slot(self.program, &a.slot), a.env)
+    fn push_addr(&self, out: &mut String, a: &AddrM) {
+        push_slot(out, self.program, &a.slot);
+        out.push('@');
+        push_call_string(out, &a.env);
     }
 
-    fn render_config(&self, c: &MConfig) -> String {
-        format!(
-            "({} env={} tid={})",
-            call_site_name(self.program, c.call),
-            c.env,
-            c.tid
-        )
+    fn push_config(&self, out: &mut String, c: &MConfig) {
+        out.push('(');
+        push_call_name(out, self.program, c.call);
+        out.push_str(" env=");
+        push_call_string(out, &c.env);
+        out.push_str(" tid=");
+        push_call_string(out, &c.tid);
+        out.push(')');
     }
 
     fn call_of(&self, c: &MConfig) -> CallId {
@@ -344,44 +416,16 @@ impl<'p> CanonFamily for MFam<'p> {
 // Building the normal form
 // ---------------------------------------------------------------------
 
-/// One family's value-set type: what a final store row holds.
-type ValSet<F> = BTreeSet<AVal<<F as CanonFamily>::Env, <F as CanonFamily>::Addr>>;
-
-/// One family's materialized final store: address → value set.
-type CanonStore<F> = BTreeMap<<F as CanonFamily>::Addr, ValSet<F>>;
-
-/// Resolves an atom to its value set against the *final* store, the
-/// way the machines' own `eval` would — values for variables, a
-/// constant for literals, a closure over the configuration's
-/// environment for λ-terms.
-fn atom_vals<F: CanonFamily>(
-    fam: &F,
-    c: &F::Config,
-    atom: &AExp,
-    store: &CanonStore<F>,
-) -> ValSet<F> {
-    match atom {
-        AExp::Lit(l) => std::iter::once(AVal::Basic(AbsBasic::from_lit(*l))).collect(),
-        AExp::Var(x) => fam
-            .var_addr(c, *x)
-            .and_then(|a| store.get(&a))
-            .cloned()
-            .unwrap_or_default(),
-        AExp::Lam(l) => std::iter::once(fam.close(c, *l)).collect(),
-    }
-}
-
 /// The operator-position atoms of a call — the atoms whose closure
 /// flows become call-graph edges. Branches and `%fix` transfer control
 /// directly (no operator flow); `%halt` contributes to the halt set
 /// instead.
-fn operator_atoms(kind: &CallKind) -> Vec<&AExp> {
+fn operator_atoms(kind: &CallKind) -> [Option<&AExp>; 2] {
     match kind {
-        CallKind::App { func, .. } => vec![func],
-        CallKind::PrimCall { cont, .. } => vec![cont],
-        CallKind::Spawn { thunk, cont } => vec![thunk, cont],
-        CallKind::Join { cont, .. } => vec![cont],
-        CallKind::If { .. } | CallKind::Fix { .. } | CallKind::Halt { .. } => vec![],
+        CallKind::App { func, .. } => [Some(func), None],
+        CallKind::PrimCall { cont, .. } | CallKind::Join { cont, .. } => [Some(cont), None],
+        CallKind::Spawn { thunk, cont } => [Some(thunk), Some(cont)],
+        CallKind::If { .. } | CallKind::Fix { .. } | CallKind::Halt { .. } => [None, None],
     }
 }
 
@@ -389,7 +433,7 @@ fn build<F: CanonFamily>(
     fam: &F,
     status: &Status,
     configs: &[F::Config],
-    store_entries: Vec<(F::Addr, ValSet<F>)>,
+    store: &Store<F>,
 ) -> Result<CanonSnapshot, NotComparable> {
     if !status.is_complete() {
         return Err(NotComparable {
@@ -397,102 +441,170 @@ fn build<F: CanonFamily>(
         });
     }
     let program = fam.program();
-    let store: CanonStore<F> = store_entries.into_iter().collect();
 
-    // Flow facts: pretty address → sorted pretty values. Rendering is
-    // injective by construction, but merge defensively if two
-    // addresses ever print alike.
-    let mut flow: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for (addr, vals) in &store {
-        flow.entry(fam.render_addr(addr))
-            .or_default()
-            .extend(vals.iter().map(|v| render_val(fam, v)));
+    // Every interned value rendered once, in id order, into one buffer:
+    // value `id` is `val_text[starts[id]..starts[id + 1]]`. Value ids
+    // key this memo only; they never reach the output.
+    let mut val_text = String::new();
+    let mut starts = Vec::with_capacity(store.distinct_values() + 1);
+    starts.push(0);
+    for id in 0..store.distinct_values() {
+        push_val(fam, &mut val_text, store.val(id as u32));
+        starts.push(val_text.len());
     }
+    let text_of = |id: u32| &val_text[starts[id as usize]..starts[id as usize + 1]];
 
-    // Call-graph edges and halt values, re-derived from the final
-    // store exactly as the machines' own `eval` resolves operator
-    // atoms. At the fixpoint this is engine-invariant: the reached
-    // configurations and the store are.
-    let mut call_graph: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut halt: BTreeSet<String> = BTreeSet::new();
+    // Every bound address, rendered once, with its value ids; `row_of`
+    // indexes the rows by address id for the atom lookups below.
+    let mut rows: Vec<(String, &[u32])> = Vec::with_capacity(store.len());
+    let mut row_of: Vec<&[u32]> = Vec::new();
+    for (addr_id, ids) in store.bound_rows() {
+        let mut key = String::new();
+        fam.push_addr(&mut key, store.addr(addr_id));
+        rows.push((key, ids));
+        row_of.resize(addr_id as usize + 1, &[]);
+        row_of[addr_id as usize] = ids;
+    }
+    let row = |addr: Option<F::Addr>| -> &[u32] {
+        addr.and_then(|a| store.lookup_addr(&a))
+            .and_then(|id| row_of.get(id as usize).copied())
+            .unwrap_or(&[])
+    };
+
+    // Call-graph edges as (call, λ) id pairs, and halt values,
+    // re-derived from the final store exactly as the machines' own
+    // `eval` resolves atoms. At the fixpoint this is engine-invariant:
+    // the reached configurations and the store are.
+    let mut edges: FxHashSet<(CallId, LamId)> = FxHashSet::default();
+    let mut halt: Vec<String> = Vec::new();
     for c in configs {
-        let call = program.call(fam.call_of(c));
-        if let CallKind::Halt { value } = &call.kind {
-            halt.extend(
-                atom_vals(fam, c, value, &store)
-                    .iter()
-                    .map(|v| render_val(fam, v)),
-            );
+        let call = fam.call_of(c);
+        let kind = &program.call(call).kind;
+        if let CallKind::Halt { value } = kind {
+            match value {
+                AExp::Var(x) => halt.extend(
+                    row(fam.var_addr(c, *x))
+                        .iter()
+                        .map(|&id| text_of(id).to_owned()),
+                ),
+                AExp::Lit(l) => {
+                    let mut text = String::new();
+                    push_basic(&mut text, program, &AbsBasic::from_lit(*l));
+                    halt.push(text);
+                }
+                AExp::Lam(l) => {
+                    let mut text = String::new();
+                    push_val(fam, &mut text, &fam.close(c, *l));
+                    halt.push(text);
+                }
+            }
             continue;
         }
-        for atom in operator_atoms(&call.kind) {
-            let targets: BTreeSet<String> = atom_vals(fam, c, atom, &store)
-                .iter()
-                .filter_map(|v| match v {
-                    AVal::Clo { lam, .. } => Some(lam_name(program, *lam)),
-                    _ => None,
-                })
-                .collect();
-            if !targets.is_empty() {
-                call_graph
-                    .entry(call_site_name(program, fam.call_of(c)))
-                    .or_default()
-                    .extend(targets);
+        for atom in operator_atoms(kind).into_iter().flatten() {
+            match atom {
+                AExp::Var(x) => {
+                    for &id in row(fam.var_addr(c, *x)) {
+                        if let AVal::Clo { lam, .. } = store.val(id) {
+                            edges.insert((call, *lam));
+                        }
+                    }
+                }
+                // A λ-atom evaluates to a closure over its own λ: that
+                // λ is the target, no closure needs building.
+                AExp::Lam(l) => {
+                    edges.insert((call, *l));
+                }
+                AExp::Lit(_) => {}
             }
         }
     }
+    halt.sort_unstable();
+    halt.dedup();
 
-    let configs: BTreeSet<String> = configs.iter().map(|c| fam.render_config(c)).collect();
+    // Flow facts: rows and their values sorted by text. Rendering is
+    // injective by construction, but rows whose addresses print alike
+    // merge defensively.
+    rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let mut flow: Vec<(String, Vec<String>)> = Vec::with_capacity(rows.len());
+    let mut vals: Vec<&str> = Vec::new();
+    let mut rows = rows.into_iter().peekable();
+    while let Some((key, ids)) = rows.next() {
+        vals.clear();
+        vals.extend(ids.iter().map(|&id| text_of(id)));
+        while let Some((_, more)) = rows.next_if(|(next, _)| *next == key) {
+            vals.extend(more.iter().map(|&id| text_of(id)));
+        }
+        vals.sort_unstable();
+        vals.dedup();
+        flow.push((key, vals.iter().map(|&v| v.to_owned()).collect()));
+    }
+
+    // Names are rendered only for the final, sorted call graph.
+    let mut named: Vec<(String, String)> = edges
+        .into_iter()
+        .map(|(call, lam)| {
+            let (mut site, mut target) = (String::new(), String::new());
+            push_call_name(&mut site, program, call);
+            push_lam_name(&mut target, program, lam);
+            (site, target)
+        })
+        .collect();
+    named.sort_unstable();
+    named.dedup();
+    let mut call_graph: Vec<(String, Vec<String>)> = Vec::new();
+    for (site, target) in named {
+        match call_graph.last_mut() {
+            Some((last, targets)) if *last == site => targets.push(target),
+            _ => call_graph.push((site, vec![target])),
+        }
+    }
+
+    // One scratch buffer; each configuration's text is copied out at
+    // its exact length.
+    let mut text = String::new();
+    let mut rendered: Vec<String> = configs
+        .iter()
+        .map(|c| {
+            text.clear();
+            fam.push_config(&mut text, c);
+            text.as_str().to_owned()
+        })
+        .collect();
+    rendered.sort_unstable();
+    rendered.dedup();
 
     Ok(CanonSnapshot {
         schema: SCHEMA_VERSION,
         machine: fam.machine().to_owned(),
         params: fam.params(),
         status: status_token(status),
-        configs: configs.into_iter().collect(),
-        call_graph: call_graph
-            .into_iter()
-            .map(|(k, v)| (k, v.into_iter().collect()))
-            .collect(),
-        flow: flow
-            .into_iter()
-            .map(|(k, v)| (k, v.into_iter().collect()))
-            .collect(),
-        halt: halt.into_iter().collect(),
+        configs: rendered,
+        call_graph,
+        flow,
+        halt,
     })
 }
 
-/// Canonicalizes a completed k-CFA fixpoint from any of the six
-/// new-engine configurations.
-pub fn canon_kcfa(
-    program: &CpsProgram,
-    k: usize,
-    fix: &FixpointResult<KConfig, AddrK, ValK>,
-) -> Result<CanonSnapshot, NotComparable> {
-    let fam = KFam {
-        program,
-        k: k as u64,
-    };
-    let store = fix.store.iter().map(|(a, set)| (a.clone(), set)).collect();
-    build(&fam, &fix.status, &fix.configs, store)
+/// Interns the reference oracle's value-set store into an [`AbsStore`],
+/// so `_ref` snapshots go through the same builder. Every bound address
+/// stays bound, empty rows included.
+fn intern_ref_store<A, V>(store: &RefStore<A, V>) -> AbsStore<A, V>
+where
+    A: Clone + Eq + Hash,
+    V: Clone + Eq + Hash + Ord,
+{
+    let mut interned = AbsStore::new();
+    for (addr, vals) in store.iter() {
+        interned.join(addr.clone(), vals.iter().cloned());
+    }
+    interned
 }
 
-/// Canonicalizes a completed k-CFA fixpoint from the reference oracle.
-pub fn canon_kcfa_ref(
-    program: &CpsProgram,
-    k: usize,
-    fix: &RefFixpointResult<KConfig, AddrK, ValK>,
-) -> Result<CanonSnapshot, NotComparable> {
-    let fam = KFam {
+fn kcfa_fam(program: &CpsProgram, k: usize) -> KFam<'_> {
+    KFam {
         program,
         k: k as u64,
-    };
-    let store = fix
-        .store
-        .iter()
-        .map(|(a, set)| (a.clone(), set.clone()))
-        .collect();
-    build(&fam, &fix.status, &fix.configs, store)
+    }
 }
 
 fn mcfa_fam(program: &CpsProgram, m: usize) -> MFam<'_> {
@@ -513,15 +625,36 @@ fn poly_fam(program: &CpsProgram, k: usize) -> MFam<'_> {
     }
 }
 
-/// Canonicalizes a completed m-CFA fixpoint from any of the six
-/// new-engine configurations.
+/// Canonicalizes a completed k-CFA fixpoint from any of the four
+/// new-engine configurations (sequential or sharded, semi-naive or full
+/// re-evaluation) or a pool tenant.
+pub fn canon_kcfa(
+    program: &CpsProgram,
+    k: usize,
+    fix: &FixpointResult<KConfig, AddrK, ValK>,
+) -> Result<CanonSnapshot, NotComparable> {
+    build(&kcfa_fam(program, k), &fix.status, &fix.configs, &fix.store)
+}
+
+/// Canonicalizes a completed k-CFA fixpoint from the reference oracle.
+pub fn canon_kcfa_ref(
+    program: &CpsProgram,
+    k: usize,
+    fix: &RefFixpointResult<KConfig, AddrK, ValK>,
+) -> Result<CanonSnapshot, NotComparable> {
+    let store = intern_ref_store(&fix.store);
+    build(&kcfa_fam(program, k), &fix.status, &fix.configs, &store)
+}
+
+/// Canonicalizes a completed m-CFA fixpoint from any of the four
+/// new-engine configurations (sequential or sharded, semi-naive or full
+/// re-evaluation) or a pool tenant.
 pub fn canon_mcfa(
     program: &CpsProgram,
     m: usize,
     fix: &FixpointResult<MConfig, AddrM, ValM>,
 ) -> Result<CanonSnapshot, NotComparable> {
-    let store = fix.store.iter().map(|(a, set)| (a.clone(), set)).collect();
-    build(&mcfa_fam(program, m), &fix.status, &fix.configs, store)
+    build(&mcfa_fam(program, m), &fix.status, &fix.configs, &fix.store)
 }
 
 /// Canonicalizes a completed m-CFA fixpoint from the reference oracle.
@@ -530,23 +663,19 @@ pub fn canon_mcfa_ref(
     m: usize,
     fix: &RefFixpointResult<MConfig, AddrM, ValM>,
 ) -> Result<CanonSnapshot, NotComparable> {
-    let store = fix
-        .store
-        .iter()
-        .map(|(a, set)| (a.clone(), set.clone()))
-        .collect();
-    build(&mcfa_fam(program, m), &fix.status, &fix.configs, store)
+    let store = intern_ref_store(&fix.store);
+    build(&mcfa_fam(program, m), &fix.status, &fix.configs, &store)
 }
 
-/// Canonicalizes a completed poly-k-CFA fixpoint from any of the six
-/// new-engine configurations.
+/// Canonicalizes a completed poly-k-CFA fixpoint from any of the four
+/// new-engine configurations (sequential or sharded, semi-naive or full
+/// re-evaluation) or a pool tenant.
 pub fn canon_poly_kcfa(
     program: &CpsProgram,
     k: usize,
     fix: &FixpointResult<MConfig, AddrM, ValM>,
 ) -> Result<CanonSnapshot, NotComparable> {
-    let store = fix.store.iter().map(|(a, set)| (a.clone(), set)).collect();
-    build(&poly_fam(program, k), &fix.status, &fix.configs, store)
+    build(&poly_fam(program, k), &fix.status, &fix.configs, &fix.store)
 }
 
 /// Canonicalizes a completed poly-k-CFA fixpoint from the reference
@@ -556,32 +685,40 @@ pub fn canon_poly_kcfa_ref(
     k: usize,
     fix: &RefFixpointResult<MConfig, AddrM, ValM>,
 ) -> Result<CanonSnapshot, NotComparable> {
-    let store = fix
-        .store
-        .iter()
-        .map(|(a, set)| (a.clone(), set.clone()))
-        .collect();
-    build(&poly_fam(program, k), &fix.status, &fix.configs, store)
+    let store = intern_ref_store(&fix.store);
+    build(&poly_fam(program, k), &fix.status, &fix.configs, &store)
 }
 
 // ---------------------------------------------------------------------
 // Deterministic JSON serialization
 // ---------------------------------------------------------------------
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Appends `s` to `out` as a JSON string literal: quoted, with `"`,
+/// `\` and control characters escaped, and the runs between escapes
+/// copied whole. The crate's one JSON string escaper (snapshots and
+/// race reports).
+pub(crate) fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut rest = s;
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            control => {
+                let _ = write!(out, "\\u{control:04x}");
+            }
         }
+        rest = &rest[i + 1..];
     }
-    out
+    out.push_str(rest);
+    out.push('"');
 }
 
 fn push_string_array(out: &mut String, indent: &str, items: &[String]) {
@@ -592,9 +729,8 @@ fn push_string_array(out: &mut String, indent: &str, items: &[String]) {
     out.push_str("[\n");
     for (i, item) in items.iter().enumerate() {
         out.push_str(indent);
-        out.push_str("  \"");
-        out.push_str(&esc(item));
-        out.push('"');
+        out.push_str("  ");
+        push_json_string(out, item);
         if i + 1 < items.len() {
             out.push(',');
         }
@@ -612,16 +748,14 @@ fn push_string_map(out: &mut String, indent: &str, entries: &[(String, Vec<Strin
     out.push_str("{\n");
     for (i, (key, vals)) in entries.iter().enumerate() {
         out.push_str(indent);
-        out.push_str("  \"");
-        out.push_str(&esc(key));
-        out.push_str("\": [");
+        out.push_str("  ");
+        push_json_string(out, key);
+        out.push_str(": [");
         for (j, v) in vals.iter().enumerate() {
             if j > 0 {
                 out.push_str(", ");
             }
-            out.push('"');
-            out.push_str(&esc(v));
-            out.push('"');
+            push_json_string(out, v);
         }
         out.push(']');
         if i + 1 < entries.len() {
@@ -639,20 +773,34 @@ impl CanonSnapshot {
     /// equal snapshots always serialize to identical bytes, and the
     /// output round-trips through [`CanonSnapshot::parse`] unchanged.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", self.schema));
-        out.push_str(&format!("  \"machine\": \"{}\",\n", esc(&self.machine)));
-        out.push_str("  \"params\": {");
+        // Sized for the unescaped document (quotes, separators and
+        // indentation included), so the buffer rarely grows.
+        let strings = |items: &[String]| items.iter().map(|s| s.len() + 8).sum::<usize>();
+        let map = |entries: &[(String, Vec<String>)]| {
+            entries
+                .iter()
+                .map(|(key, vals)| key.len() + 12 + strings(vals))
+                .sum::<usize>()
+        };
+        let mut out = String::with_capacity(
+            256 + strings(&self.configs)
+                + map(&self.call_graph)
+                + map(&self.flow)
+                + strings(&self.halt),
+        );
+        let _ = write!(out, "{{\n  \"schema\": {},\n  \"machine\": ", self.schema);
+        push_json_string(&mut out, &self.machine);
+        out.push_str(",\n  \"params\": {");
         for (i, (key, value)) in self.params.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\": {}", esc(key), value));
+            push_json_string(&mut out, key);
+            let _ = write!(out, ": {value}");
         }
-        out.push_str("},\n");
-        out.push_str(&format!("  \"status\": \"{}\",\n", esc(&self.status)));
-        out.push_str("  \"configs\": ");
+        out.push_str("},\n  \"status\": ");
+        push_json_string(&mut out, &self.status);
+        out.push_str(",\n  \"configs\": ");
         push_string_array(&mut out, "  ", &self.configs);
         out.push_str(",\n  \"call_graph\": ");
         push_string_map(&mut out, "  ", &self.call_graph);
@@ -666,7 +814,8 @@ impl CanonSnapshot {
 
     /// Parses a snapshot document produced by [`CanonSnapshot::to_json`]
     /// (or hand-written JSON of the same shape). Structural problems —
-    /// bad JSON, missing or unknown fields, wrong types — are
+    /// bad JSON, nesting deeper than the grammar's, missing, unknown or
+    /// duplicate fields and keys, wrong types — are
     /// [`MalformedSnapshot`] errors; `cfa compare` maps them to exit
     /// code 2.
     pub fn parse(text: &str) -> Result<CanonSnapshot, MalformedSnapshot> {
@@ -775,8 +924,18 @@ fn snapshot_from_json(value: json::Json) -> Result<CanonSnapshot, MalformedSnaps
 /// A minimal hand-rolled JSON reader — the workspace is offline by
 /// design (no serde), and the snapshot grammar only needs objects,
 /// arrays, strings, and non-negative integers.
+///
+/// The reader walks the text by byte offset (every token it looks
+/// at is ASCII, so string contents are copied as whole `&str` runs),
+/// caps the nesting depth, and rejects duplicate object keys.
 mod json {
     use super::MalformedSnapshot;
+
+    /// Deepest nesting of arrays and objects the reader accepts. The
+    /// snapshot grammar needs three levels (document → `flow` → value
+    /// array); the cap keeps hostile input from recursing the reader
+    /// off the stack.
+    pub const MAX_DEPTH: usize = 8;
 
     /// A parsed JSON value (the subset the snapshot grammar uses).
     #[derive(Debug)]
@@ -785,7 +944,7 @@ mod json {
         Str(String),
         /// A non-negative integer.
         Int(u64),
-        /// An object, in source order.
+        /// An object, in source order, keys distinct.
         Obj(Vec<(String, Json)>),
         /// An array.
         Arr(Vec<Json>),
@@ -793,15 +952,16 @@ mod json {
 
     pub fn parse(text: &str) -> Result<Json, MalformedSnapshot> {
         let mut p = Parser {
-            chars: text.chars().collect(),
+            text,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.chars.len() {
+        if p.pos != text.len() {
             return Err(err(format!(
-                "trailing input after document (at char {})",
+                "trailing input after document (at byte {})",
                 p.pos
             )));
         }
@@ -814,34 +974,56 @@ mod json {
         }
     }
 
-    struct Parser {
-        chars: Vec<char>,
-        pos: usize,
+    /// The first key that occurs twice in `entries`. Snapshot objects
+    /// are written with sorted keys, so one linear pass settles the
+    /// common case; only unsorted input pays for a sort.
+    fn duplicate_key(entries: &[(String, Json)]) -> Option<&str> {
+        if entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            return None;
+        }
+        let mut keys: Vec<&str> = entries.iter().map(|(key, _)| key.as_str()).collect();
+        keys.sort_unstable();
+        keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
     }
 
-    impl Parser {
-        fn peek(&self) -> Option<char> {
-            self.chars.get(self.pos).copied()
+    struct Parser<'t> {
+        text: &'t str,
+        pos: usize,
+        depth: usize,
+    }
+
+    impl Parser<'_> {
+        fn peek(&self) -> Option<u8> {
+            self.text.as_bytes().get(self.pos).copied()
         }
 
-        fn bump(&mut self) -> Result<char, MalformedSnapshot> {
-            let c = self.peek().ok_or_else(|| err("unexpected end of input"))?;
+        /// The character starting at byte `pos`, for error messages.
+        fn char_at(&self, pos: usize) -> char {
+            self.text
+                .get(pos..)
+                .and_then(|rest| rest.chars().next())
+                .unwrap_or('\u{fffd}')
+        }
+
+        fn bump(&mut self) -> Result<u8, MalformedSnapshot> {
+            let b = self.peek().ok_or_else(|| err("unexpected end of input"))?;
             self.pos += 1;
-            Ok(c)
+            Ok(b)
         }
 
         fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
+            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
                 self.pos += 1;
             }
         }
 
-        fn expect(&mut self, want: char) -> Result<(), MalformedSnapshot> {
-            let got = self.bump()?;
-            if got != want {
+        fn expect(&mut self, want: u8) -> Result<(), MalformedSnapshot> {
+            if self.bump()? != want {
                 return Err(err(format!(
-                    "expected '{want}' at char {}, found '{got}'",
-                    self.pos - 1
+                    "expected '{}' at byte {}, found '{}'",
+                    want as char,
+                    self.pos - 1,
+                    self.char_at(self.pos - 1)
                 )));
             }
             Ok(())
@@ -849,23 +1031,43 @@ mod json {
 
         fn value(&mut self) -> Result<Json, MalformedSnapshot> {
             match self.peek() {
-                Some('{') => self.object(),
-                Some('[') => self.array(),
-                Some('"') => Ok(Json::Str(self.string()?)),
-                Some(c) if c.is_ascii_digit() => self.integer(),
-                Some(c) => Err(err(format!(
-                    "unexpected character '{c}' at char {}",
+                Some(b'{') => self.nested(Self::object),
+                Some(b'[') => self.nested(Self::array),
+                Some(b'"') => Ok(Json::Str(self.string()?)),
+                Some(b) if b.is_ascii_digit() => self.integer(),
+                Some(_) => Err(err(format!(
+                    "unexpected character '{}' at byte {}",
+                    self.char_at(self.pos),
                     self.pos
                 ))),
                 None => Err(err("unexpected end of input")),
             }
         }
 
+        /// Parses one array or object one level deeper, refusing to go
+        /// past [`MAX_DEPTH`].
+        fn nested(
+            &mut self,
+            parse: fn(&mut Self) -> Result<Json, MalformedSnapshot>,
+        ) -> Result<Json, MalformedSnapshot> {
+            if self.depth == MAX_DEPTH {
+                return Err(err(format!(
+                    "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                    self.pos
+                )));
+            }
+            self.depth += 1;
+            let value = parse(self)?;
+            self.depth -= 1;
+            Ok(value)
+        }
+
         fn object(&mut self) -> Result<Json, MalformedSnapshot> {
-            self.expect('{')?;
+            let start = self.pos;
+            self.expect(b'{')?;
             let mut entries = Vec::new();
             self.skip_ws();
-            if self.peek() == Some('}') {
+            if self.peek() == Some(b'}') {
                 self.pos += 1;
                 return Ok(Json::Obj(entries));
             }
@@ -873,24 +1075,36 @@ mod json {
                 self.skip_ws();
                 let key = self.string()?;
                 self.skip_ws();
-                self.expect(':')?;
+                self.expect(b':')?;
                 self.skip_ws();
                 let value = self.value()?;
                 entries.push((key, value));
                 self.skip_ws();
                 match self.bump()? {
-                    ',' => continue,
-                    '}' => return Ok(Json::Obj(entries)),
-                    c => return Err(err(format!("expected ',' or '}}', found '{c}'"))),
+                    b',' => continue,
+                    b'}' => break,
+                    _ => {
+                        return Err(err(format!(
+                            "expected ',' or '}}' at byte {}, found '{}'",
+                            self.pos - 1,
+                            self.char_at(self.pos - 1)
+                        )))
+                    }
                 }
             }
+            if let Some(key) = duplicate_key(&entries) {
+                return Err(err(format!(
+                    "duplicate key \"{key}\" in the object at byte {start}"
+                )));
+            }
+            Ok(Json::Obj(entries))
         }
 
         fn array(&mut self) -> Result<Json, MalformedSnapshot> {
-            self.expect('[')?;
+            self.expect(b'[')?;
             let mut items = Vec::new();
             self.skip_ws();
-            if self.peek() == Some(']') {
+            if self.peek() == Some(b']') {
                 self.pos += 1;
                 return Ok(Json::Arr(items));
             }
@@ -899,29 +1113,44 @@ mod json {
                 items.push(self.value()?);
                 self.skip_ws();
                 match self.bump()? {
-                    ',' => continue,
-                    ']' => return Ok(Json::Arr(items)),
-                    c => return Err(err(format!("expected ',' or ']', found '{c}'"))),
+                    b',' => continue,
+                    b']' => return Ok(Json::Arr(items)),
+                    _ => {
+                        return Err(err(format!(
+                            "expected ',' or ']' at byte {}, found '{}'",
+                            self.pos - 1,
+                            self.char_at(self.pos - 1)
+                        )))
+                    }
                 }
             }
         }
 
         fn string(&mut self) -> Result<String, MalformedSnapshot> {
-            self.expect('"')?;
+            self.expect(b'"')?;
             let mut out = String::new();
             loop {
+                // Copy the run up to the next quote, backslash or
+                // control byte — all ASCII, so the run ends on a char
+                // boundary.
+                let run = self.text.as_bytes()[self.pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                    .unwrap_or(self.text.len() - self.pos);
+                out.push_str(&self.text[self.pos..self.pos + run]);
+                self.pos += run;
                 match self.bump()? {
-                    '"' => return Ok(out),
-                    '\\' => match self.bump()? {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'b' => out.push('\u{0008}'),
-                        'f' => out.push('\u{000c}'),
-                        'u' => {
+                    b'"' => return Ok(out),
+                    b'\\' => match self.bump()? {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'b' => out.push('\u{0008}'),
+                        b'f' => out.push('\u{000c}'),
+                        b'u' => {
                             let code = self.hex4()?;
                             match char::from_u32(code) {
                                 Some(c) => out.push(c),
@@ -933,12 +1162,14 @@ mod json {
                                 }
                             }
                         }
-                        c => return Err(err(format!("invalid escape '\\{c}'"))),
+                        _ => {
+                            return Err(err(format!(
+                                "invalid escape '\\{}'",
+                                self.char_at(self.pos - 1)
+                            )))
+                        }
                     },
-                    c if (c as u32) < 0x20 => {
-                        return Err(err("raw control character in string"));
-                    }
-                    c => out.push(c),
+                    _ => return Err(err("raw control character in string")),
                 }
             }
         }
@@ -946,10 +1177,13 @@ mod json {
         fn hex4(&mut self) -> Result<u32, MalformedSnapshot> {
             let mut code = 0u32;
             for _ in 0..4 {
-                let c = self.bump()?;
-                let digit = c
-                    .to_digit(16)
-                    .ok_or_else(|| err(format!("invalid hex digit '{c}' in \\u escape")))?;
+                let b = self.bump()?;
+                let digit = (b as char).to_digit(16).ok_or_else(|| {
+                    err(format!(
+                        "invalid hex digit '{}' in \\u escape",
+                        self.char_at(self.pos - 1)
+                    ))
+                })?;
                 code = code * 16 + digit;
             }
             Ok(code)
@@ -957,13 +1191,13 @@ mod json {
 
         fn integer(&mut self) -> Result<Json, MalformedSnapshot> {
             let start = self.pos;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
                 self.pos += 1;
             }
-            if matches!(self.peek(), Some('.' | 'e' | 'E')) {
+            if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
                 return Err(err("the snapshot grammar has no fractional numbers"));
             }
-            let text: String = self.chars[start..self.pos].iter().collect();
+            let text = &self.text[start..self.pos];
             text.parse()
                 .map(Json::Int)
                 .map_err(|_| err(format!("integer '{text}' out of range")))
@@ -1140,13 +1374,80 @@ mod tests {
 
     #[test]
     fn halt_and_flow_are_rendered() {
-        let s = snap("((lambda (x) x) 42)", 1);
-        assert_eq!(s.machine, "k-CFA");
-        assert_eq!(s.params, vec![("k".to_owned(), 1)]);
-        assert_eq!(s.status, "complete");
-        assert!(s.halt.contains(&"42".to_owned()));
-        assert!(!s.flow.is_empty());
-        assert!(!s.call_graph.is_empty());
+        // One row per way the builder resolves the `%halt` atom: a
+        // literal, a λ-term (its closure; at k = 1 the environment is
+        // restricted to the λ's free variables), and variables bound
+        // to a constant and to a closure. Columns: program, halt at
+        // k = 1, halt at m = 1, call graph (the same at both). The
+        // values are what the value-level builder printed; this one
+        // must reproduce them byte for byte.
+        type Edges = &'static [(&'static str, &'static [&'static str])];
+        let cases: [(&str, &str, &str, Edges); 5] = [
+            ("42", "42", "42", &[]),
+            ("(lambda (x) x)", "#<clo λℓ1 {}>", "#<clo λℓ1 ⟨⟩>", &[]),
+            (
+                "(let ((y 1) (z 2)) (lambda (x) y))",
+                "#<clo λℓ1 {y.0↦y.0@⟨6⟩}>",
+                "#<clo λℓ1 ⟨⟩>",
+                &[("ℓ4", &["λℓ3"]), ("ℓ6", &["λℓ5"])],
+            ),
+            (
+                "((lambda (x) x) 42)",
+                "42",
+                "42",
+                &[("ℓ0", &["λℓ3"]), ("ℓ4", &["λℓ1"])],
+            ),
+            (
+                "(define (id x) x) (id (lambda (y) y))",
+                "#<clo λℓ3 {}>",
+                "#<clo λℓ3 ⟨⟩>",
+                &[("ℓ0", &["λℓ5"]), ("ℓ6", &["λℓ1"])],
+            ),
+        ];
+        for (src, halt_k, halt_m, edges) in cases {
+            let p = cfa_syntax::compile(src).unwrap();
+            let rk = crate::analyze_kcfa(&p, 1, EngineLimits::default());
+            let rm = crate::analyze_mcfa(&p, 1, EngineLimits::default());
+            let call_graph: Vec<(String, Vec<String>)> = edges
+                .iter()
+                .map(|(site, targets)| {
+                    let targets = targets.iter().map(|t| t.to_string()).collect();
+                    (site.to_string(), targets)
+                })
+                .collect();
+            for (s, param, halt) in [
+                (canon_kcfa(&p, 1, &rk.fixpoint).unwrap(), "k", halt_k),
+                (canon_mcfa(&p, 1, &rm.fixpoint).unwrap(), "m", halt_m),
+            ] {
+                assert_eq!(s.params, vec![(param.to_owned(), 1)], "{src}");
+                assert_eq!(s.status, "complete", "{src}");
+                assert_eq!(s.halt, [halt], "{} halt of {src}", s.machine);
+                assert_eq!(s.call_graph, call_graph, "{} edges of {src}", s.machine);
+            }
+        }
+    }
+
+    #[test]
+    fn bound_but_empty_rows_print_as_empty_lists() {
+        // No machine binds an address to ⊥ today, but both stores can
+        // (a join of nothing), and both builders must keep such a row
+        // as `[]` rather than drop it.
+        let p = cfa_syntax::compile("((lambda (x) x) 42)").unwrap();
+        let empty = AddrK {
+            slot: Slot::Atom(Label(99)),
+            time: CallString::empty(),
+        };
+        let mut r = crate::analyze_kcfa(&p, 1, EngineLimits::default());
+        r.fixpoint.store.join(empty.clone(), []);
+        let mut machine = crate::kcfa::KCfaMachine::new(&p, 1);
+        let mut oracle =
+            crate::reference::run_fixpoint_reference(&mut machine, EngineLimits::default());
+        oracle.store.join(empty, []);
+        let s = canon_kcfa(&p, 1, &r.fixpoint).unwrap();
+        assert_eq!(canon_kcfa_ref(&p, 1, &oracle).unwrap(), s);
+        let row = s.flow.iter().find(|(addr, _)| addr == "atom:ℓ99@⟨⟩");
+        assert_eq!(row.map(|(_, vals)| vals.len()), Some(0), "{:?}", s.flow);
+        assert!(s.to_json().contains("\"atom:ℓ99@⟨⟩\": []"));
     }
 
     #[test]
@@ -1212,6 +1513,81 @@ mod tests {
         let s = snap("1", 0);
         let doctored = s.to_json().replace("\"halt\"", "\"bogus\"");
         assert!(CanonSnapshot::parse(&doctored).is_err());
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        // Deep enough to overflow a test thread's stack if the reader
+        // recursed once per bracket.
+        for open in ["[", "{\"a\": "] {
+            let deep = open.repeat(200_000);
+            let err = CanonSnapshot::parse(&deep).unwrap_err();
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+        }
+        // The cap is the first level the reader refuses.
+        let at_cap = format!(
+            "{}{}",
+            "[".repeat(json::MAX_DEPTH),
+            "]".repeat(json::MAX_DEPTH)
+        );
+        assert!(json::parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert!(json::parse(&past_cap).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_duplicate_top_level_fields() {
+        let text = snap("1", 0).to_json();
+        let doubled = text.replacen("\"halt\"", "\"halt\": [\"7\"],\n  \"halt\"", 1);
+        let err = CanonSnapshot::parse(&doubled).unwrap_err();
+        assert!(err.message.contains("duplicate key \"halt\""), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_duplicate_params() {
+        let text = snap("1", 0).to_json();
+        let doubled = text.replacen("\"k\": 0", "\"k\": 0, \"k\": 1", 1);
+        let err = CanonSnapshot::parse(&doubled).unwrap_err();
+        assert!(err.message.contains("duplicate key \"k\""), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_duplicate_call_graph_keys() {
+        let s = snap("((lambda (x) x) 42)", 1);
+        let (site, targets) = s.call_graph[0].clone();
+        let mut doubled = s.clone();
+        doubled.call_graph.push((site.clone(), targets));
+        let err = CanonSnapshot::parse(&doubled.to_json()).unwrap_err();
+        assert!(
+            err.message.contains(&format!("duplicate key \"{site}\"")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn parse_rejects_duplicate_flow_keys() {
+        let s = snap("((lambda (x) x) 42)", 1);
+        let (addr, _) = s.flow[0].clone();
+        let mut doubled = s.clone();
+        // Out of order, so the sorted-keys fast path cannot see it.
+        doubled.flow.push((addr.clone(), vec!["43".to_owned()]));
+        let err = CanonSnapshot::parse(&doubled.to_json()).unwrap_err();
+        assert!(
+            err.message.contains(&format!("duplicate key \"{addr}\"")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn parse_reads_multibyte_text_and_escapes_by_byte_offset() {
+        let mut s = snap("(define (id x) x) (id (id (cons 1 2)))", 1);
+        s.halt = vec!["tab\there \"q\" back\\slash λℓ⟨1⟩ \u{1}".to_owned()];
+        let text = s.to_json();
+        assert!(text.contains("\\t") && text.contains("\\u0001"), "{text}");
+        assert_eq!(CanonSnapshot::parse(&text).unwrap(), s);
+        // Positions in errors are byte offsets into the document.
+        let err = CanonSnapshot::parse("[\"λ\" x]").unwrap_err();
+        assert!(err.message.contains("at byte 6, found 'x'"), "{err}");
     }
 
     #[test]

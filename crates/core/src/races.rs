@@ -69,12 +69,14 @@
 //! `cas!`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::Write as _;
 use std::hash::Hash;
 
 use cfa_concrete::base::Slot;
 use cfa_syntax::cps::{AExp, CallId, CallKind, CpsProgram, Label};
 use cfa_syntax::intern::Symbol;
 
+use crate::canon::push_json_string;
 use crate::domain::{AVal, CallString};
 use crate::engine::FixpointResult;
 use crate::flatcfa::{AddrM, FlatCfaMachine, FlatPolicy, MConfig, ValM};
@@ -865,52 +867,39 @@ impl RaceReport {
     /// Renders the report as JSON (hand-rolled; the schema is documented
     /// in the repository README).
     pub fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
+        fn access(out: &mut String, a: &AccessDesc) {
+            out.push_str("{\"thread\":");
+            push_json_string(out, &a.thread);
+            let _ = write!(out, ",\"site\":{},\"op\":", a.site);
+            push_json_string(out, a.op);
+            out.push('}');
+        }
+        let mut out = String::from("{\"analysis\":");
+        push_json_string(&mut out, &self.analysis);
+        out.push_str(",\"threads\":[");
+        for (i, thread) in self.threads.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            out
+            push_json_string(&mut out, thread);
         }
-        fn access(a: &AccessDesc) -> String {
-            format!(
-                "{{\"thread\":\"{}\",\"site\":{},\"op\":\"{}\"}}",
-                esc(&a.thread),
-                a.site,
-                esc(a.op)
-            )
+        let _ = write!(out, "],\"accesses\":{},\"races\":[", self.accesses);
+        for (i, r) in self.races.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"cell\":");
+            push_json_string(&mut out, &r.cell);
+            let _ = write!(out, ",\"kind\":\"{}\",\"first\":", r.kind.as_str());
+            access(&mut out, &r.first);
+            out.push_str(",\"second\":");
+            access(&mut out, &r.second);
+            out.push_str(",\"suggestion\":");
+            push_json_string(&mut out, &r.suggestion);
+            out.push('}');
         }
-        let threads: Vec<String> = self
-            .threads
-            .iter()
-            .map(|t| format!("\"{}\"", esc(t)))
-            .collect();
-        let races: Vec<String> = self
-            .races
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"cell\":\"{}\",\"kind\":\"{}\",\"first\":{},\"second\":{},\"suggestion\":\"{}\"}}",
-                    esc(&r.cell),
-                    r.kind.as_str(),
-                    access(&r.first),
-                    access(&r.second),
-                    esc(&r.suggestion)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"analysis\":\"{}\",\"threads\":[{}],\"accesses\":{},\"races\":[{}]}}",
-            esc(&self.analysis),
-            threads.join(","),
-            self.accesses,
-            races.join(",")
-        )
+        out.push_str("]}");
+        out
     }
 }
 

@@ -592,26 +592,27 @@ impl<A: Eq + Hash + Clone, V: Eq + Hash + Clone> AbsStore<A, V> {
         bytes
     }
 
+    /// Iterates over `(address id, sorted value ids)` for every bound
+    /// address, in id order; a bound row that never received a value
+    /// yields an empty slice. The id-level twin of [`AbsStore::iter`].
+    pub(crate) fn bound_rows(&self) -> impl Iterator<Item = (u32, &[u32])> {
+        self.rows
+            .iter()
+            .enumerate()
+            .filter(|(_, row)| row.bound)
+            .map(|(i, row)| (i as u32, row.ids.as_deref().map_or(&[][..], Vec::as_slice)))
+    }
+
     /// Iterates over `(address, materialized flow set)` pairs for every
     /// bound address, in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&A, FlowSet<V>)>
     where
         V: Ord,
     {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter(|(_, row)| row.bound)
-            .map(|(i, row)| {
-                let set: FlowSet<V> = row
-                    .ids
-                    .as_deref()
-                    .into_iter()
-                    .flatten()
-                    .map(|&id| self.vals.get(id).clone())
-                    .collect();
-                (self.addrs.get(i as u32), set)
-            })
+        self.bound_rows().map(|(addr, ids)| {
+            let set = ids.iter().map(|&id| self.vals.get(id).clone()).collect();
+            (self.addrs.get(addr), set)
+        })
     }
 }
 

@@ -16,6 +16,9 @@ export PROPTEST_CASES="${PROPTEST_CASES:-16}"
 echo "property suites: PROPTEST_SEED=${PROPTEST_SEED} PROPTEST_CASES=${PROPTEST_CASES}"
 
 cargo build --release
+# The benchmark helper (its own workspace) compiles against cfa-core's
+# public API; mirrors CI's "Build the benchmark helper" step.
+cargo build --release --offline --manifest-path repobench/Cargo.toml
 cargo test -q
 # Golden race-detector suite per evaluation mode, mirroring CI's
 # `races` matrix legs (the plain `cargo test` run above covers the
