@@ -286,9 +286,8 @@ fn time_budget_overrun_exits_with_code_3() {
 
 #[test]
 fn injected_cancellation_exits_with_code_5() {
-    // The sequential engine checks the token every
-    // `LIMIT_CHECK_CADENCE` pops, so the workload must outlive that
-    // cadence for the flip to be observed.
+    // The flip lands on the first pop, and every worker checks its
+    // limits on its first pop, so the run stops before evaluating.
     let file = write_temp("cancel.scm", &cfa_workloads::worst_case_source(7));
     let out = cfa()
         .arg("analyze")

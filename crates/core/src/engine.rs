@@ -5,11 +5,16 @@
 //! whenever the store grows. This engine implements the standard
 //! refinement — re-enqueue only the dependents of addresses whose flow
 //! sets grew — on top of the interned, zero-copy store representation of
-//! [`crate::store`]:
+//! [`crate::store`]. A sequential run is a **one-worker
+//! [`crate::fabric`] run**: the fabric's one worker loop schedules it
+//! (fresh configurations before pinned re-runs, deduplicated wakeups,
+//! limit checks, fault hooks, telemetry, the stall watchdog), and the
+//! private-store worker defined here — the same one every
+//! [`crate::pool`] tenant runs — contributes the store-specific half:
 //!
-//! * configurations are interned to dense indices, and **dependency sets
-//!   are plain `Vec`s indexed by interned address id** (no hashing on
-//!   the scheduling path);
+//! * configurations are interned to dense indices on discovery, and
+//!   **dependency sets are plain `Vec`s indexed by interned address id**
+//!   (no hashing on the scheduling path);
 //! * a step's recorded reads are **deduplicated** before dependency
 //!   registration, and each dependency list stays sorted/unique;
 //! * dependency lists are **pruned**: when a configuration's read set
@@ -19,10 +24,10 @@
 //! * every configuration remembers the store **epoch** at its last
 //!   evaluation; a popped configuration whose read addresses have not
 //!   grown past that epoch is skipped outright (its re-evaluation would
-//!   be a provable no-op). With exact (pruned) dependency lists every
-//!   sequential wakeup is justified, so this gate is a safety net here —
-//!   it is *load-bearing* in the [`crate::fabric`] loop, whose
-//!   dedup-free wake queues make duplicate wakeups routine;
+//!   be a provable no-op). With exact (pruned) dependency lists and the
+//!   fabric's is-queued wake flags, every one-worker wakeup is
+//!   justified, so a one-worker run never trips this gate; sharded runs
+//!   use it to drop stale cross-worker wakes;
 //! * joins report the **delta of newly added value ids**, surfaced in
 //!   [`FixpointResult::delta_facts`] — the amount of real lattice growth
 //!   the run performed, as opposed to raw join calls;
@@ -42,16 +47,19 @@
 //! The computed fixpoint is identical to the naive §3.7 transfer and to
 //! the original clone-based engine (the fixed point of a monotone
 //! function is unique); only the iteration order differs. The retained
-//! original engine in [`crate::reference`] and the differential tests in
+//! original engine in [`crate::reference`] — a separate loop on purpose,
+//! so it stays an independent oracle — and the differential tests in
 //! `tests/engine_differential.rs` enforce exactly that.
 //!
 //! The engine is generic over the abstract machine — the CPS k-CFA,
 //! m-CFA / polynomial-k-CFA, and Featherweight Java analyzers all drive
 //! their transitions through it.
 
+use crate::fabric::{self, BackendWorker, Fabric, WorkerCtx, WorkerTotals};
 use crate::fxhash::FxHashMap;
 use crate::store::{AbsStore, Flow, FlowSet};
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
+use std::convert::Infallible;
 use std::hash::Hash;
 use std::time::{Duration, Instant};
 
@@ -85,6 +93,33 @@ pub trait AbstractMachine {
         store: &mut TrackedStore<'_, Self::Addr, Self::Val>,
         out: &mut Vec<Self::Config>,
     );
+}
+
+/// A borrowed machine is a machine: the sequential entry points drive
+/// the caller's machine in place ([`run_fixpoint`] takes `&mut M`)
+/// through the same private-store worker a pool tenant drives its owned
+/// machine through.
+impl<M: AbstractMachine> AbstractMachine for &mut M {
+    type Config = M::Config;
+    type Addr = M::Addr;
+    type Val = M::Val;
+
+    fn initial(&self) -> Self::Config {
+        (**self).initial()
+    }
+
+    fn seed(&mut self, store: &mut TrackedStore<'_, Self::Addr, Self::Val>) {
+        (**self).seed(store);
+    }
+
+    fn step(
+        &mut self,
+        config: &Self::Config,
+        store: &mut TrackedStore<'_, Self::Addr, Self::Val>,
+        out: &mut Vec<Self::Config>,
+    ) {
+        (**self).step(config, store, out);
+    }
 }
 
 /// A flow set split against a configuration's baseline epoch: the full
@@ -165,9 +200,9 @@ impl DeltaFlow {
 /// configuration's previous evaluation — which powers the semi-naive
 /// [`TrackedStore::read_with_delta`] split.
 ///
-/// The view is backend-polymorphic: the sequential engine and a pool
-/// tenant's one worker wrap a private [`AbsStore`]; the sharded
-/// parallel workers wrap a [`crate::shardstore::ShardView`]
+/// The view is backend-polymorphic: the one-worker private-store worker
+/// (sequential runs and pool tenants) wraps a private [`AbsStore`]; the
+/// sharded parallel workers wrap a [`crate::shardstore::ShardView`]
 /// onto the globally shared store (reads snapshot any row, writes go
 /// through the shared row, and growth notifications route to the row's
 /// owner shard). Machines see one API either way.
@@ -197,13 +232,8 @@ struct LocalView<'a, A, V> {
 }
 
 impl<'a, A: Eq + Hash + Clone, V: Eq + Hash + Clone + Ord> TrackedStore<'a, A, V> {
-    fn new(store: &'a mut AbsStore<A, V>) -> Self {
-        Self::wrap(store, None, Vec::new(), Vec::new(), Vec::new())
-    }
-
-    /// Wraps `store` reusing caller-provided scratch buffers (a pool
-    /// tenant's worker recycles its own across steps, exactly like
-    /// [`run_fixpoint`] does).
+    /// Wraps `store` reusing caller-provided scratch buffers (the
+    /// private-store worker recycles its own across steps).
     pub(crate) fn wrap(
         store: &'a mut AbsStore<A, V>,
         baseline: Option<u64>,
@@ -504,14 +534,15 @@ pub struct EngineLimits {
     /// pop-keyed cadence as the wall clock. `None` (the default) means
     /// the run is not externally cancellable.
     pub cancel: Option<CancelToken>,
-    /// Stall-watchdog threshold for the fabric: if the pending
-    /// counter stays nonzero while *every* worker is idle for longer
-    /// than this, the run aborts with a diagnostic dump instead of
-    /// hanging forever ([`Status::Aborted`] with
-    /// [`Status::STALL_WATCHDOG`]). All-idle-with-work-pending is a
-    /// terminal state — idle workers send no messages, so nothing can
-    /// wake them — hence a true scheduler bug, never normal latency.
-    /// `None` disables the watchdog; the sequential engine ignores it.
+    /// Stall-watchdog threshold: if the pending counter stays nonzero
+    /// while *every* worker is idle for longer than this, the run
+    /// aborts with a diagnostic dump instead of hanging forever
+    /// ([`Status::Aborted`] with [`Status::STALL_WATCHDOG`]).
+    /// All-idle-with-work-pending is a terminal state — idle workers
+    /// send no messages, so nothing can wake them — hence a true
+    /// scheduler bug, never normal latency. Every engine but the
+    /// reference oracle runs on the fabric and honors it (a sequential
+    /// run is a one-worker fabric). `None` disables the watchdog.
     pub stall_timeout: Option<Duration>,
     /// Optional deterministic fault plan
     /// ([`crate::fabric::FaultPlan`]): injected panics, forced
@@ -622,11 +653,14 @@ impl EngineLimits {
 
 /// Scheduler observability counters, accumulated across workers.
 ///
-/// The sequential engine reports only `store_resident_bytes`; the
-/// fabric engines fill in the scheduling traffic (messages flow only
-/// between the workers of a sharded run). All counters are totals over
-/// the whole run except `max_inbox_depth`, which is the deepest single
-/// inbox drain any worker performed.
+/// Every engine but the reference oracle runs on the fabric and fills
+/// these in. Messages and steals flow only between the workers of a
+/// sharded run: a one-worker run (sequential or pool tenant) has no
+/// victim to steal from, so it reports zero steals and traffic, and
+/// one failed steal per time its queues ran dry — once, on a normal
+/// completion. All counters are totals over the whole run except
+/// `max_inbox_depth`, which is the deepest single inbox drain any
+/// worker performed.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Successful steals (a task taken from another worker's queue).
@@ -669,7 +703,9 @@ impl SchedStats {
 /// The engine's output: reached configurations, final store, statistics.
 #[derive(Debug)]
 pub struct FixpointResult<C, A, V> {
-    /// All reached configurations, in first-visit order.
+    /// All reached configurations: in discovery order on a one-worker
+    /// run (sequential or pool tenant), in no particular order on a
+    /// sharded run.
     pub configs: Vec<C>,
     /// The final single-threaded store.
     pub store: AbsStore<A, V>,
@@ -678,13 +714,14 @@ pub struct FixpointResult<C, A, V> {
     /// Number of configuration evaluations (including re-evaluations).
     pub iterations: u64,
     /// Popped configurations skipped because no read address had grown
-    /// past their last-evaluation epoch. Zero for every monotone machine
-    /// under [`run_fixpoint`] (pruned dependency lists make sequential
-    /// wakeups exact); routinely positive on the [`crate::fabric`]
-    /// engines (sharded runs and pool tenants), where the epoch gate
-    /// is the conflict detector for duplicate wakeups.
+    /// past their last-evaluation epoch. Zero for every monotone
+    /// machine on a one-worker run ([`run_fixpoint`], pool tenants):
+    /// pruned dependency lists and deduplicated wake queues make each
+    /// wakeup exact. Positive on sharded runs, where a wake can arrive
+    /// from another worker after the re-run it asked for.
     pub skipped: u64,
-    /// Dependent re-enqueues caused by address growth (wakeups). The
+    /// Dependent re-enqueues caused by address growth (wakeups). A
+    /// configuration woken again while already queued counts once. The
     /// stale-dependency regression tests count these.
     pub wakeups: u64,
     /// Total `(address, value)` facts added across all joins — the real
@@ -736,54 +773,250 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Registers config `i` in the dependency lists of its just-recorded
-/// read set and prunes it from the lists of addresses it no longer
-/// reads — the sequential engine and pool tenants share this exact
-/// logic.
+/// The private-store worker of a one-worker [`crate::fabric`] run: the
+/// backend of the sequential engine ([`run_fixpoint`], over a borrowed
+/// machine) and of every [`crate::pool`] tenant (over an owned one).
 ///
-/// `reads_buf` holds the step's raw reads; it is sorted and deduped
-/// here, swapped into `config_reads[i]` as the config's read set for
-/// the epoch gate, and hands back the previous read set as scratch.
-/// Without the pruning walk, dep lists are insert-only and growth of a
-/// dropped address re-enqueues the config for a guaranteed no-op.
-pub(crate) fn register_deps(
-    deps: &mut Vec<Vec<usize>>,
-    config_reads: &mut [Vec<u32>],
-    i: usize,
-    reads_buf: &mut Vec<u32>,
-) {
-    reads_buf.sort_unstable();
-    reads_buf.dedup();
-    // Prune dropped addresses: walk the previous read set (sorted,
-    // unique) against the new one and deregister this config from
-    // every address it no longer reads.
-    {
-        let old = &config_reads[i];
+/// It owns its machine, a private [`AbsStore`] and the scheduling
+/// tables — configurations interned in discovery order, dependency
+/// lists with pruning, read sets, last-run epochs. Fresh successors are
+/// deduplicated through its own config index and queued by index, so
+/// one worker owns everything: reads and writes never cross a thread
+/// and no message is ever sent ([`Infallible`]).
+pub(crate) struct SoloWorker<M: AbstractMachine> {
+    machine: M,
+    store: AbsStore<M::Addr, M::Val>,
+    configs: Vec<M::Config>,
+    index: FxHashMap<M::Config, usize>,
+    /// Dependents of each address, indexed by interned address id; each
+    /// list is sorted and duplicate-free.
+    deps: Vec<Vec<usize>>,
+    /// Per config: the read set of its last evaluation and the store
+    /// epoch that evaluation started at (None = never evaluated).
+    config_reads: Vec<Vec<u32>>,
+    last_run_epoch: Vec<Option<u64>>,
+    /// Successor scratch, recycled across evaluations.
+    successors: Vec<M::Config>,
+    /// Tracking-buffer scratch (reads, grew, delta), recycled likewise.
+    bufs: (Vec<u32>, Vec<u32>, Vec<u32>),
+}
+
+impl<M: AbstractMachine> SoloWorker<M> {
+    /// A one-worker fabric with `machine`'s initial configuration
+    /// queued, and the worker that runs it.
+    pub(crate) fn fabric(machine: M) -> (Fabric<usize, Infallible>, Self) {
+        let root = machine.initial();
+        let mut worker = SoloWorker {
+            machine,
+            store: AbsStore::new(),
+            configs: Vec::new(),
+            index: FxHashMap::default(),
+            deps: Vec::new(),
+            config_reads: Vec::new(),
+            last_run_epoch: Vec::new(),
+            successors: Vec::new(),
+            bufs: Default::default(),
+        };
+        let fabric = Fabric::new(1);
+        let root = worker
+            .intern(root)
+            .expect("the first configuration is fresh");
+        fabric.submit_root(root);
+        (fabric, worker)
+    }
+
+    /// Interns `cfg`, returning its index if it was never seen before.
+    fn intern(&mut self, cfg: M::Config) -> Option<usize> {
+        match self.index.entry(cfg) {
+            Entry::Occupied(_) => None,
+            Entry::Vacant(slot) => {
+                let i = self.configs.len();
+                self.configs.push(slot.key().clone());
+                slot.insert(i);
+                self.config_reads.push(Vec::new());
+                self.last_run_epoch.push(None);
+                Some(i)
+            }
+        }
+    }
+
+    /// Registers config `i` in the dependency lists of its
+    /// just-recorded read set (`bufs.0`) and prunes it from the lists of
+    /// addresses it no longer reads.
+    ///
+    /// The raw reads are sorted and deduped here, swapped into
+    /// `config_reads[i]` as the config's read set for the epoch gate,
+    /// and the previous read set comes back as scratch. Without the
+    /// pruning walk, dep lists are insert-only and growth of a dropped
+    /// address re-enqueues the config for a guaranteed no-op.
+    fn register_deps(&mut self, i: usize) {
+        let reads = &mut self.bufs.0;
+        reads.sort_unstable();
+        reads.dedup();
+        // Prune dropped addresses: walk the previous read set (sorted,
+        // unique) against the new one and deregister this config from
+        // every address it no longer reads.
         let mut ni = 0;
-        for &a in old {
-            while ni < reads_buf.len() && reads_buf[ni] < a {
+        for &a in &self.config_reads[i] {
+            while ni < reads.len() && reads[ni] < a {
                 ni += 1;
             }
-            if ni < reads_buf.len() && reads_buf[ni] == a {
+            if ni < reads.len() && reads[ni] == a {
                 continue;
             }
-            if let Some(dependents) = deps.get_mut(a as usize) {
+            if let Some(dependents) = self.deps.get_mut(a as usize) {
                 if let Ok(pos) = dependents.binary_search(&i) {
                     dependents.remove(pos);
                 }
             }
         }
-    }
-    for &a in reads_buf.iter() {
-        if deps.len() <= a as usize {
-            deps.resize_with(a as usize + 1, Vec::new);
+        for &a in reads.iter() {
+            if self.deps.len() <= a as usize {
+                self.deps.resize_with(a as usize + 1, Vec::new);
+            }
+            let dependents = &mut self.deps[a as usize];
+            if let Err(pos) = dependents.binary_search(&i) {
+                dependents.insert(pos, i);
+            }
         }
-        let dependents = &mut deps[a as usize];
-        if let Err(pos) = dependents.binary_search(&i) {
-            dependents.insert(pos, i);
+        std::mem::swap(&mut self.config_reads[i], reads);
+    }
+
+    /// Assembles the finished run from this worker and the fabric's
+    /// totals: the machine comes back as is, and the store *is* the
+    /// fixpoint, moved out as is.
+    pub(crate) fn into_result(
+        self,
+        status: Status,
+        totals: WorkerTotals,
+        elapsed: Duration,
+        queue_wait: Duration,
+    ) -> crate::pool::PoolRun<M> {
+        let WorkerTotals {
+            iterations,
+            skipped,
+            wakeups,
+            delta_facts,
+            delta_applies,
+            mut sched,
+            trace,
+        } = totals;
+        sched.store_resident_bytes = self.store.approx_bytes() as u64;
+        let fixpoint = FixpointResult {
+            configs: self.configs,
+            store: self.store,
+            status,
+            iterations,
+            skipped,
+            wakeups,
+            delta_facts,
+            delta_applies,
+            sched,
+            elapsed,
+            queue_wait,
+            trace: crate::telemetry::RunTrace::from_buffers(vec![trace]),
+        };
+        crate::pool::PoolRun {
+            machine: self.machine,
+            fixpoint,
         }
     }
-    std::mem::swap(&mut config_reads[i], reads_buf);
+}
+
+impl<M: AbstractMachine> BackendWorker for SoloWorker<M> {
+    type Task = usize;
+    type Msg = Infallible;
+
+    fn seed(&mut self, _ctx: &mut WorkerCtx<'_, usize, Infallible>) {
+        let mut tracked =
+            TrackedStore::wrap(&mut self.store, None, Vec::new(), Vec::new(), Vec::new());
+        self.machine.seed(&mut tracked);
+    }
+
+    /// Configurations are interned on discovery, so a task already is
+    /// its local index.
+    fn home(&mut self, task: usize) -> usize {
+        task
+    }
+
+    fn gated(&self, i: usize) -> bool {
+        match self.last_run_epoch[i] {
+            Some(epoch) => self.config_reads[i]
+                .iter()
+                .all(|&a| self.store.addr_epoch(a) <= epoch),
+            None => false,
+        }
+    }
+
+    /// Evaluates one configuration (by index): step, dependency
+    /// registration with pruning, successor dedup, wakeups.
+    fn evaluate(&mut self, i: usize, ctx: &mut WorkerCtx<'_, usize, Infallible>) {
+        let epoch_at_start = self.store.epoch();
+        let config = self.configs[i].clone();
+        let mut successors = std::mem::take(&mut self.successors);
+        let (reads, grew, delta) = &mut self.bufs;
+        reads.clear();
+        grew.clear();
+        // The baseline for semi-naive reads: the epoch this config's
+        // previous evaluation started at. FullReeval withholds it, so
+        // delta-aware machines degrade to the full product.
+        let baseline = match ctx.mode() {
+            EvalMode::SemiNaive => self.last_run_epoch[i],
+            EvalMode::FullReeval => None,
+        };
+        let mut tracked = TrackedStore::wrap(
+            &mut self.store,
+            baseline,
+            std::mem::take(reads),
+            std::mem::take(grew),
+            std::mem::take(delta),
+        );
+        self.machine.step(&config, &mut tracked, &mut successors);
+        let (reads, grew, delta, step_delta, step_applies) = tracked.into_parts();
+        self.bufs = (reads, grew, delta);
+        ctx.state.delta_facts += step_delta;
+        ctx.state.delta_applies += step_applies;
+        self.last_run_epoch[i] = Some(epoch_at_start);
+
+        self.register_deps(i);
+
+        for succ in successors.drain(..) {
+            if let Some(j) = self.intern(succ) {
+                ctx.submit_fresh(j);
+            }
+        }
+        self.successors = successors;
+
+        let grew = &mut self.bufs.1;
+        grew.sort_unstable();
+        grew.dedup();
+        let before = ctx.state.wakeups;
+        for &a in grew.iter() {
+            if let Some(dependents) = self.deps.get(a as usize) {
+                for &j in dependents {
+                    ctx.wake_local(j);
+                }
+            }
+        }
+        let woken = ctx.state.wakeups - before;
+        if woken > 0 {
+            ctx.state.trace.wake_batch(woken);
+        }
+    }
+
+    fn describe(&self, i: usize) -> String {
+        format!("{:?}", self.configs[i])
+    }
+
+    fn on_msg(&mut self, msg: Infallible, _ctx: &mut WorkerCtx<'_, usize, Infallible>) {
+        match msg {}
+    }
+
+    fn enforce_watermark(&mut self, watermark: usize) {
+        if self.store.delta_log_bytes() > watermark {
+            self.store.trim_delta_logs();
+        }
+    }
 }
 
 /// Runs `machine` to its least fixed point (or until a limit fires),
@@ -811,252 +1044,23 @@ pub fn run_fixpoint<M: AbstractMachine>(
 /// [`EvalMode`]. The computed fixpoint is mode-independent (it is the
 /// unique least fixed point); the mode only changes how much work
 /// re-evaluations redo.
+///
+/// The run is a one-worker [`crate::fabric`] run on the caller's
+/// thread: [`fabric::drive_one`] schedules the machine's private-store
+/// worker, and the worker's store is the result.
 pub fn run_fixpoint_with<M: AbstractMachine>(
     machine: &mut M,
     limits: EngineLimits,
     mode: EvalMode,
 ) -> FixpointResult<M::Config, M::Addr, M::Val> {
     let start = Instant::now();
-    let mut trace = crate::telemetry::TraceBuffer::new(limits.trace);
-    trace.set_origin(start);
-    let mut store: AbsStore<M::Addr, M::Val> = AbsStore::new();
-    let mut configs: Vec<M::Config> = Vec::new();
-    let mut index: FxHashMap<M::Config, usize> = FxHashMap::default();
-    // Dependents of each address, indexed by interned address id; each
-    // list is sorted and duplicate-free.
-    let mut deps: Vec<Vec<usize>> = Vec::new();
-    // Per config: the read set of its last evaluation and the store
-    // epoch that evaluation started at (None = never evaluated).
-    let mut config_reads: Vec<Vec<u32>> = Vec::new();
-    let mut last_run_epoch: Vec<Option<u64>> = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut queued: Vec<bool> = Vec::new();
-
-    let intern = |cfg: M::Config,
-                  configs: &mut Vec<M::Config>,
-                  index: &mut FxHashMap<M::Config, usize>,
-                  config_reads: &mut Vec<Vec<u32>>,
-                  last_run_epoch: &mut Vec<Option<u64>>,
-                  queued: &mut Vec<bool>|
-     -> (usize, bool) {
-        if let Some(&i) = index.get(&cfg) {
-            (i, false)
-        } else {
-            let i = configs.len();
-            configs.push(cfg.clone());
-            index.insert(cfg, i);
-            config_reads.push(Vec::new());
-            last_run_epoch.push(None);
-            queued.push(false);
-            (i, true)
-        }
-    };
-
-    {
-        let mut tracked = TrackedStore::new(&mut store);
-        machine.seed(&mut tracked);
-    }
-    let (root, _) = intern(
-        machine.initial(),
-        &mut configs,
-        &mut index,
-        &mut config_reads,
-        &mut last_run_epoch,
-        &mut queued,
-    );
-    queue.push_back(root);
-    queued[root] = true;
-
-    let mut iterations: u64 = 0;
-    let mut skipped: u64 = 0;
-    let mut wakeups: u64 = 0;
-    let mut delta_facts: u64 = 0;
-    let mut delta_applies: u64 = 0;
-    let mut status = Status::Completed;
-    let mut successors: Vec<M::Config> = Vec::new();
-    // Reused scratch buffers for the per-step tracking vectors.
-    let (mut reads_buf, mut grew_buf, mut delta_buf) = (Vec::new(), Vec::new(), Vec::new());
-    // Fault-injection hooks (None in production runs — one dead branch
-    // per pop), armed for exactly this run: per-run counters and a
-    // per-run cancel token, so concurrent runs sharing cloned limits
-    // never trip each other's clauses. The sequential engine counts as
-    // worker 0.
-    let armed = limits
-        .fault_plan
-        .as_deref()
-        .map(crate::fabric::ArmedFaultPlan::new);
-
-    while let Some(&_head) = queue.front() {
-        // Check limits *before* popping: a config that the budget cuts
-        // off stays queued, so `queued` accounting remains truthful and
-        // a resumed run would not lose it.
-        if iterations >= limits.max_iterations {
-            status = Status::IterationLimit;
-            break;
-        }
-        // Checking the clock every pop would dominate small runs; the
-        // fabric's cadence bounds cancellation latency the same way on
-        // every engine. Keyed on *total pops* (iterations + skipped),
-        // not iterations alone: a long run of gate-skipped pops must
-        // still consult the clock, or it could overrun `time_budget`
-        // without ever noticing.
-        if (iterations + skipped).is_multiple_of(crate::fabric::LIMIT_CHECK_CADENCE) {
-            let external = limits
-                .cancel
-                .as_ref()
-                .is_some_and(CancelToken::is_cancelled);
-            if external
-                || armed
-                    .as_ref()
-                    .is_some_and(crate::fabric::ArmedFaultPlan::cancelled)
-            {
-                status = Status::Cancelled;
-                break;
-            }
-            if let Some(budget) = limits.time_budget {
-                if start.elapsed() > budget {
-                    status = Status::TimedOut;
-                    break;
-                }
-            }
-            // Store-bytes watermark: trim the delta logs when they
-            // outgrow the budget (O(1) — the store tracks log bytes
-            // incrementally). Baselines behind the trim degrade to
-            // full re-evaluation via the snapshot-loss fallback —
-            // sound, just less incremental.
-            if let Some(watermark) = limits.store_bytes_watermark {
-                if store.delta_log_bytes() > watermark {
-                    store.trim_delta_logs();
-                }
-            }
-        }
-        let i = queue.pop_front().expect("peeked element present");
-        queued[i] = false;
-
-        if let Some(plan) = &armed {
-            let faults = plan.on_pop();
-            if faults.trim {
-                store.trim_delta_logs();
-            }
-            // `leak` targets the fabric's pending counter;
-            // the sequential engine has no termination protocol to
-            // violate, so that clause is a no-op here.
-        }
-
-        // Epoch gate: if this config already ran and none of the
-        // addresses it read has grown since, re-evaluation is a no-op.
-        // With pruned dependency lists every sequential wakeup implies
-        // growth, so this never fires for monotone machines here; it
-        // stays as a cheap guard (and because the fabric's workers share
-        // the same pop discipline, where it is the conflict detector).
-        if let Some(epoch) = last_run_epoch[i] {
-            if config_reads[i]
-                .iter()
-                .all(|&a| store.addr_epoch(a) <= epoch)
-            {
-                skipped += 1;
-                trace.gate_skip(i as u64);
-                continue;
-            }
-        }
-
-        let epoch_at_start = store.epoch();
-        iterations += 1;
-
-        let config = configs[i].clone();
-        successors.clear();
-        reads_buf.clear();
-        grew_buf.clear();
-        // The baseline for semi-naive reads: the epoch this config's
-        // previous evaluation started at. FullReeval withholds it, so
-        // delta-aware machines degrade to the full product.
-        let baseline = match mode {
-            EvalMode::SemiNaive => last_run_epoch[i],
-            EvalMode::FullReeval => None,
-        };
-        let mut tracked = TrackedStore::wrap(
-            &mut store,
-            baseline,
-            std::mem::take(&mut reads_buf),
-            std::mem::take(&mut grew_buf),
-            std::mem::take(&mut delta_buf),
-        );
-        // Panic isolation: a panicking transfer function aborts the
-        // *run*, not the process. Whatever the step joined before
-        // panicking was legitimately derived (joins are idempotent and
-        // monotone), so the partial store stays sound — the result is
-        // simply a subset of the fixpoint.
-        trace.eval_start(i as u64);
-        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(plan) = &armed {
-                plan.on_eval(0);
-            }
-            machine.step(&config, &mut tracked, &mut successors)
-        }));
-        trace.eval_end(i as u64);
-        let (reads, grew, delta, step_delta, step_applies) = tracked.into_parts();
-        (reads_buf, grew_buf, delta_buf) = (reads, grew, delta);
-        delta_facts += step_delta;
-        delta_applies += step_applies;
-        if let Err(payload) = step {
-            status = Status::Aborted {
-                config: format!("{config:?}"),
-                message: panic_message(payload.as_ref()),
-            };
-            break;
-        }
-        last_run_epoch[i] = Some(epoch_at_start);
-
-        register_deps(&mut deps, &mut config_reads, i, &mut reads_buf);
-
-        for succ in successors.drain(..) {
-            let (j, fresh) = intern(
-                succ,
-                &mut configs,
-                &mut index,
-                &mut config_reads,
-                &mut last_run_epoch,
-                &mut queued,
-            );
-            if fresh && !queued[j] {
-                queued[j] = true;
-                queue.push_back(j);
-            }
-        }
-
-        grew_buf.sort_unstable();
-        grew_buf.dedup();
-        for &a in &grew_buf {
-            if let Some(dependents) = deps.get(a as usize) {
-                for &j in dependents {
-                    if !queued[j] {
-                        queued[j] = true;
-                        queue.push_back(j);
-                        wakeups += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    let sched = SchedStats {
-        store_resident_bytes: store.approx_bytes() as u64,
-        ..SchedStats::default()
-    };
-    FixpointResult {
-        configs,
-        store,
-        status,
-        iterations,
-        skipped,
-        wakeups,
-        delta_facts,
-        delta_applies,
-        sched,
-        elapsed: start.elapsed(),
-        queue_wait: Duration::ZERO,
-        trace: crate::telemetry::RunTrace::from_buffers(vec![trace]),
-    }
+    let (fabric, worker) = SoloWorker::fabric(machine);
+    let report = fabric::drive_one(&fabric, worker, mode, &limits, start);
+    let status = fabric.finish();
+    report
+        .backend
+        .into_result(status, report.totals, start.elapsed(), Duration::ZERO)
+        .fixpoint
 }
 
 #[cfg(test)]
@@ -1236,14 +1240,31 @@ mod tests {
         assert_eq!(r.store.read(&1).len(), noise as usize);
     }
 
-    /// A delta-aware copier: configs `1..=writes` grow address 0 one
-    /// value at a time; config 100 (scheduled before any write lands)
-    /// semi-naively copies **only the delta** of address 0 into
-    /// address 1. If the engine ever hands it a wrong baseline — or the
-    /// store loses part of a delta — address 1 ends up a strict subset
-    /// of address 0.
+    /// A delta-aware copier fed in two waves. Configs `1..=writes` grow
+    /// address 0 one value at a time (wave one); config 100 semi-naively
+    /// copies **only the delta** of address 0 into address 1; config 50
+    /// echoes each wave-one value `v` it finds in address 1 back into
+    /// address 0 as `v + 100` (wave two). The fabric runs fresh
+    /// configurations first, so all of wave one lands before the
+    /// copier's first re-run; wave two exists only *because* of that
+    /// re-run and reaches the copier through a second one. If the engine
+    /// ever hands the copier a wrong baseline — or the store loses part
+    /// of a delta — address 1 ends up a strict subset of address 0.
     struct DeltaCopier {
         writes: u8,
+        /// Evaluations of the copier (config 100).
+        copies: u32,
+    }
+
+    impl DeltaCopier {
+        fn new(writes: u8) -> Self {
+            DeltaCopier { writes, copies: 0 }
+        }
+
+        /// Both waves: `1..=writes` and their echoes.
+        fn fixpoint(&self) -> FlowSet<u8> {
+            (1..=self.writes).flat_map(|v| [v, v + 100]).collect()
+        }
     }
 
     impl AbstractMachine for DeltaCopier {
@@ -1257,10 +1278,21 @@ mod tests {
 
         fn step(&mut self, c: &u8, s: &mut TrackedStore<'_, u8, u8>, out: &mut Vec<u8>) {
             match *c {
-                0 => out.extend([100, 1]),
+                0 => out.extend([100, 50, 1]),
                 100 => {
+                    self.copies += 1;
                     let d = s.read_with_delta(&0);
                     s.join_flow(&1, &d.new);
+                }
+                50 => {
+                    let copied = s.read(&1);
+                    let echoes: Vec<u8> = copied
+                        .iter()
+                        .map(|id| *s.val(id))
+                        .filter(|&v| v <= self.writes)
+                        .map(|v| v + 100)
+                        .collect();
+                    s.join(&0, echoes);
                 }
                 c if c <= self.writes => {
                     s.join(&0, [c]);
@@ -1273,26 +1305,34 @@ mod tests {
 
     #[test]
     fn semi_naive_delta_copy_reaches_the_full_fixpoint() {
-        let r = run_fixpoint(&mut DeltaCopier { writes: 9 }, EngineLimits::default());
+        let mut m = DeltaCopier::new(9);
+        let r = run_fixpoint(&mut m, EngineLimits::default());
         assert_eq!(r.status, Status::Completed);
-        assert_eq!(r.store.read(&0), (1u8..=9).collect());
+        assert_eq!(r.store.read(&0), m.fixpoint());
         assert_eq!(
             r.store.read(&1),
             r.store.read(&0),
             "delta copies must accumulate to the full set"
         );
-        assert!(r.wakeups >= 2, "the copier re-ran on growth");
+        // First visit (empty), one re-run per wave: wave one arrives
+        // whole, wave two only after the first re-run produced it.
+        assert_eq!(m.copies, 3, "the copier re-ran once per wave");
+        // The copier and the echo are each woken twice; every other
+        // configuration runs once.
+        assert_eq!(r.wakeups, 4);
+        assert_eq!(r.skipped, 0, "one-worker wakeups are exact");
+        assert_eq!(r.iterations, r.config_count() as u64 + r.wakeups);
     }
 
     #[test]
     fn eval_modes_compute_identical_fixpoints() {
         let semi = run_fixpoint_with(
-            &mut DeltaCopier { writes: 9 },
+            &mut DeltaCopier::new(9),
             EngineLimits::default(),
             EvalMode::SemiNaive,
         );
         let full = run_fixpoint_with(
-            &mut DeltaCopier { writes: 9 },
+            &mut DeltaCopier::new(9),
             EngineLimits::default(),
             EvalMode::FullReeval,
         );
@@ -1301,8 +1341,9 @@ mod tests {
         assert_eq!(semi.configs, full.configs, "identical exploration order");
         assert_eq!(semi.iterations, full.iterations, "identical scheduling");
         assert_eq!(semi.delta_facts, full.delta_facts, "same lattice growth");
-        // Semi-naive feeds strictly fewer value ids through joins: every
-        // re-run of the copier re-joins the whole set under FullReeval.
+        // Semi-naive feeds strictly fewer value ids through joins: the
+        // copier's wave-two re-run joins only the echoes, while under
+        // FullReeval it re-joins wave one as well.
         assert!(
             semi.store.value_join_count() < full.store.value_join_count(),
             "semi-naive {} !< full {}",

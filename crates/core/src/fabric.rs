@@ -1,38 +1,48 @@
-//! The scheduling fabric: one generic worker loop that every
-//! fabric-run store backend shares.
+//! The scheduling fabric: one generic worker loop that every fixpoint
+//! run shares — the sequential engine and a pool tenant (one worker
+//! over a private store) as much as a sharded run (N workers over one
+//! shared store).
 //!
 //! The loop exists once, parameterized over a [`BackendWorker`] that
 //! contributes only the store-specific operations (how facts move, how
-//! dependencies register, what a message means), so a scheduling fix
-//! (stale dependency wakeups, timeout starvation) can never land in
-//! only one copy.
+//! configurations are deduplicated, how dependencies register, what a
+//! message means), so a scheduling, limit, fault or telemetry fix can
+//! never land in only one copy.
 //!
 //! # What the fabric owns
 //!
-//! * **stealable fresh-config deques** — one per worker; owners pop the
+//! * **stealable fresh-task deques** — one per worker; owners pop the
 //!   front, thieves steal half from the back (the steal's two queue
 //!   locks are never held across each other, so crossed steals cannot
-//!   deadlock);
-//! * **hash-sharded global dedup** of first-time configurations
+//!   deadlock). A task is whatever the backend queues for a
+//!   never-evaluated configuration, already deduplicated by the backend
 //!   ([`WorkerCtx::submit_fresh`]);
 //! * **pinned wakeups** — re-evaluations of a configuration run only on
 //!   its home worker (where its read set and last-run state live), via
-//!   a worker-private dedup-free wake queue whose duplicate pops the
-//!   backend's epoch gate absorbs;
+//!   a worker-private wake queue with an is-queued flag per local task:
+//!   a configuration woken by several growth events before its re-run
+//!   is queued once ([`WorkerCtx::wake_local`]), and `wakeups` counts
+//!   the enqueues;
+//! * **fresh before pinned** — each turn pops fresh work first and
+//!   re-runs woken configurations only when no fresh task is left, so
+//!   several growth events coalesce into one re-evaluation;
 //! * **the pending-counter termination protocol** — one atomic counts
 //!   queued tasks + in-flight evaluations + undelivered messages +
 //!   queued wakeups; a task or message releases its own count only
 //!   after everything it spawned has been counted, so `pending == 0`
 //!   observed by an idle worker proves global quiescence
 //!   ([`Fabric::finish`] asserts it on every completed run);
-//! * **pop-keyed limit checks** — the wall clock and the store-bytes
-//!   watermark are consulted every [`LIMIT_CHECK_CADENCE`] *pops*
-//!   (evaluations and gate-skips alike), so a long run of skipped pops
-//!   can never starve the timeout;
+//! * **pop-keyed limit checks** — cancellation, the wall clock and the
+//!   store-bytes watermark are consulted on each worker's first pop and
+//!   then every [`LIMIT_CHECK_CADENCE`] *pops* (evaluations and
+//!   gate-skips alike), so a pre-cancelled or zero-budget run evaluates
+//!   nothing and a long run of skipped pops can never starve the
+//!   timeout;
 //! * **the iteration budget** — a global evaluation counter claimed
 //!   before each step;
-//! * **idle-spin backoff** and the [`SchedStats`] accounting for all of
-//!   the above;
+//! * **idle-spin backoff**, the stall watchdog, the armed fault plan,
+//!   the per-worker telemetry ring, and the [`SchedStats`] accounting
+//!   for all of the above;
 //! * **adaptive inbox drains** — each drain takes a bounded batch sized
 //!   by the worker's observed average inbox depth (clamped to
 //!   8..=512), then the worker returns to evaluating. Workers that see
@@ -44,21 +54,21 @@
 //! # What a backend contributes
 //!
 //! The [`BackendWorker`] hooks are exactly the store-specific residue:
-//! how a configuration is interned and epoch-gated against *its* store
-//! view, what one evaluation does (step, dependency registration,
-//! growth announcement), what an inter-worker message means, and what
-//! the store-bytes watermark trims. Two backends implement it: the
-//! sharded multi-worker backend ([`crate::shardstore`], whose messages
-//! route growth, dependency and wake notifications to row owners) and
-//! the one-worker private store of a pool tenant ([`crate::pool`],
-//! which sends no messages). The differential suites prove both reach
-//! the sequential engine's fixpoint through this one loop.
+//! how a configuration is deduplicated, homed and epoch-gated against
+//! *its* store view, what one evaluation does (step, dependency
+//! registration, growth announcement), what an inter-worker message
+//! means, and what the store-bytes watermark trims. Two backends
+//! implement it: the private-store worker of a one-worker run
+//! ([`crate::engine::run_fixpoint`] and every [`crate::pool`] tenant;
+//! it sends no messages and never leaves its thread) and the sharded
+//! multi-worker backend ([`crate::shardstore`], whose messages route
+//! growth, dependency and wake notifications to row owners). The
+//! differential suites prove both reach the reference oracle's fixpoint
+//! through this one loop.
 
 use crate::engine::{panic_message, CancelToken, EngineLimits, EvalMode, SchedStats, Status};
-use crate::fxhash::{FxHashSet, FxHasher};
 use crate::telemetry::TraceBuffer;
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -84,11 +94,8 @@ impl<T: ?Sized> LockRecovered<T> for Mutex<T> {
     }
 }
 
-/// Number of seen-set shards (a power of two well above any sane
-/// thread count, so dedup contention stays negligible).
-const SEEN_SHARDS: usize = 64;
-
-/// Pops between wall-clock / watermark checks. Keyed on *total* pops
+/// Pops between cancellation / wall-clock / watermark checks (each
+/// worker also checks on its first pop). Keyed on *total* pops
 /// (evaluations + gate-skips): a long run of skipped pops must still
 /// consult the clock, or it could overrun `time_budget` unnoticed.
 pub const LIMIT_CHECK_CADENCE: u64 = 64;
@@ -98,16 +105,6 @@ const MIN_DRAIN_BATCH: usize = 8;
 
 /// Largest bounded inbox drain.
 const MAX_DRAIN_BATCH: usize = 512;
-
-/// Seen-set shard for a configuration. Taken from the *high* hash bits:
-/// the intra-shard `FxHashSet` derives its bucket index from the low
-/// bits of the very same hash, so sharding on those would cluster every
-/// entry of a shard onto 1/64th of the bucket positions.
-fn seen_shard<C: Hash>(cfg: &C) -> usize {
-    let mut h = FxHasher::default();
-    cfg.hash(&mut h);
-    (h.finish() >> 58) as usize % SEEN_SHARDS
-}
 
 /// A deterministic fault-injection plan, threaded through cheap atomic
 /// hooks in the worker loop (one `Option` branch per pop when unarmed —
@@ -296,22 +293,19 @@ impl ArmedFaultPlan {
     }
 }
 
-/// State shared by all workers of one parallel run: the scheduling
-/// fabric. `C` is the machine's configuration type, `M` the backend's
+/// State shared by all workers of one run: the scheduling fabric. `T`
+/// is the backend's fresh-task type ([`BackendWorker::Task`]), `M` its
 /// inter-worker message type.
 #[derive(Debug)]
-pub struct Fabric<C, M> {
-    /// Per-worker queues of *fresh* (never-evaluated) configurations.
-    /// Owners push/pop the front; thieves steal a batch from the back.
-    /// Tasks carry configurations by value so a stolen task is
-    /// meaningful on any worker; wakeups never enter these queues —
+pub struct Fabric<T, M> {
+    /// Per-worker queues of *fresh* (never-evaluated) tasks, already
+    /// deduplicated by the backend. Owners push/pop the front; thieves
+    /// steal a batch from the back. Wakeups never enter these queues —
     /// they are pinned to the home worker's private queue.
-    queues: Vec<Mutex<VecDeque<C>>>,
+    queues: Vec<Mutex<VecDeque<T>>>,
     /// Per-worker message inboxes (ring buffers: senders push the
     /// back, bounded drains pop the front in O(batch)).
     inboxes: Vec<Mutex<VecDeque<M>>>,
-    /// Global dedup of first-time configurations, sharded by hash.
-    seen: Vec<Mutex<FxHashSet<C>>>,
     /// Queued tasks + in-flight evaluations + undelivered messages +
     /// queued wakeups.
     pending: AtomicU64,
@@ -345,16 +339,13 @@ struct WorkerMeter {
     idle_spins: AtomicU64,
 }
 
-impl<C: Clone + Eq + Hash, M> Fabric<C, M> {
+impl<T, M> Fabric<T, M> {
     /// An empty fabric for `threads` workers (at least one).
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         Fabric {
             queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
             inboxes: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            seen: (0..SEEN_SHARDS)
-                .map(|_| Mutex::new(FxHashSet::default()))
-                .collect(),
             pending: AtomicU64::new(0),
             done: AtomicBool::new(false),
             evals: AtomicU64::new(0),
@@ -369,11 +360,9 @@ impl<C: Clone + Eq + Hash, M> Fabric<C, M> {
         self.queues.len()
     }
 
-    /// Seeds the run: marks `root` seen and queues it at worker 0.
-    pub fn submit_root(&self, root: C) {
-        self.seen[seen_shard(&root)]
-            .lock_recovered()
-            .insert(root.clone());
+    /// Seeds the run: queues the root task at worker 0 (the backend
+    /// has already recorded the root configuration as seen).
+    pub fn submit_root(&self, root: T) {
         self.pending_add();
         self.queues[0].lock_recovered().push_back(root);
     }
@@ -395,7 +384,8 @@ impl<C: Clone + Eq + Hash, M> Fabric<C, M> {
     }
 
     /// Tears the fabric down after all workers have returned: the final
-    /// [`Status`] and the global configuration set (the drained dedup).
+    /// [`Status`]. (The reached configurations are the backend's: each
+    /// backend deduplicates its own.)
     ///
     /// # Panics
     ///
@@ -404,7 +394,7 @@ impl<C: Clone + Eq + Hash, M> Fabric<C, M> {
     /// messages, and queued wakeups have all been released — and this
     /// asserts it: a nonzero count would mean the termination protocol
     /// lost or double-counted work.
-    pub fn finish(self) -> (Status, Vec<C>) {
+    pub fn finish(self) -> Status {
         let status = self
             .stop_status
             .into_inner()
@@ -417,16 +407,7 @@ impl<C: Clone + Eq + Hash, M> Fabric<C, M> {
                 "completed run with nonzero pending: termination protocol broken"
             );
         }
-        let configs = self
-            .seen
-            .into_iter()
-            .flat_map(|shard| {
-                shard
-                    .into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-            })
-            .collect();
-        (status, configs)
+        status
     }
 
     /// Publishes worker `id`'s counters and marks it idle — called on
@@ -514,35 +495,51 @@ impl<C: Clone + Eq + Hash, M> Fabric<C, M> {
     }
 }
 
-/// One worker's handle onto the fabric: its identity, its private wake
-/// queue, and the scheduling counters the driver accumulates. Backends
-/// receive `&mut WorkerCtx` in every hook and use it to submit fresh
-/// configurations, schedule wakeups, and route messages — they never
-/// touch the shared state directly.
+/// One worker's handle onto the fabric: its identity, the fabric it
+/// belongs to, and its loop state. Backends receive `&mut WorkerCtx`
+/// in every hook and use it to submit fresh tasks, schedule wakeups,
+/// route messages and count their work — they never touch the shared
+/// state directly.
 #[derive(Debug)]
-pub struct WorkerCtx<'f, C, M> {
+pub struct WorkerCtx<'f, T, M> {
     id: usize,
-    fabric: &'f Fabric<C, M>,
+    fabric: &'f Fabric<T, M>,
     mode: EvalMode,
+    /// The private wake queue and every per-worker counter.
+    pub(crate) state: WorkerState,
+}
+
+/// The persistent half of a [`WorkerCtx`], detached from the fabric
+/// borrow: the private wake queue plus every per-worker counter.
+///
+/// A worker that runs to quiescence on one thread keeps it inside its
+/// [`WorkerCtx`] for the whole loop. A pool tenant runs in bounded
+/// quanta on whichever pool worker picks it up next, so between quanta
+/// its state is parked ([`WorkerCtx::suspend`]) and rebound to the
+/// fabric on the next visit ([`WorkerCtx::resume`]).
+#[derive(Debug, Default)]
+pub(crate) struct WorkerState {
     /// Pinned re-evaluations of locally homed configurations, by local
     /// index. Worker-private (no lock): only the owner pushes and pops.
-    /// Deliberately dedup-free — the backend's epoch gate absorbs
-    /// duplicate pops in O(|reads|).
     wakes: VecDeque<usize>,
-    /// Dependent re-enqueues this worker scheduled (local wakes plus
-    /// remote wakes it shipped).
-    pub wakeups: u64,
+    /// Per local task: whether it sits in `wakes` (set at push, cleared
+    /// at pop), so a configuration woken again before its re-run is not
+    /// queued twice.
+    queued: Vec<bool>,
+    /// Wakeups this worker enqueued (local wakes plus delivered remote
+    /// ones; a wake that finds its task already queued counts nothing).
+    pub(crate) wakeups: u64,
     /// `(address, value)` facts this worker's evaluations added.
-    pub delta_facts: u64,
+    pub(crate) delta_facts: u64,
     /// Application sites this worker processed in narrowed semi-naive
     /// form.
-    pub delta_applies: u64,
+    pub(crate) delta_applies: u64,
     /// Scheduler observability counters.
-    pub sched: SchedStats,
+    sched: SchedStats,
     /// This worker's telemetry ring ([`crate::telemetry`]): the loop
     /// and the backend hooks emit timeline events into it. Costs one
     /// branch per emit when tracing is off.
-    pub trace: TraceBuffer,
+    pub(crate) trace: TraceBuffer,
     /// Sum of inbox depths observed at each non-empty drain — the
     /// adaptive drain signal (`depth_sum / sched.inbox_drains` is
     /// the average depth this worker actually finds waiting).
@@ -550,55 +547,38 @@ pub struct WorkerCtx<'f, C, M> {
     iterations: u64,
     skipped: u64,
     /// Pops this worker has taken (evaluations + gate-skips) — keys the
-    /// cadenced limit checks.
-    pops: u64,
+    /// cadenced limit checks and meters a pool tenant's quanta.
+    pub(crate) pops: u64,
     /// Whether the last turn ended idle — the next turn that finds work
     /// publishes the idle→busy transition to the stall watchdog.
     was_idle: bool,
 }
 
-/// The persistent half of a [`WorkerCtx`], detached from the fabric
-/// borrow: the private wake queue plus every per-worker counter.
-///
-/// A worker that runs to quiescence on one thread never needs this —
-/// [`WorkerCtx`] lives for the whole loop. The analysis pool does: a
-/// pool tenant runs in bounded quanta on whichever pool worker picks it
-/// up next, so between quanta its loop state is parked here
-/// ([`WorkerCtx::suspend`]) and rebound to the fabric on the next visit
-/// ([`WorkerCtx::resume`]).
-#[derive(Debug, Default)]
-pub(crate) struct WorkerState {
-    wakes: VecDeque<usize>,
-    wakeups: u64,
-    delta_facts: u64,
-    delta_applies: u64,
-    sched: SchedStats,
-    pub(crate) trace: TraceBuffer,
-    depth_sum: u64,
-    pub(crate) iterations: u64,
-    pub(crate) skipped: u64,
-    pops: u64,
-    was_idle: bool,
-}
-
 /// Everything a finished worker contributes to its run's totals — one
 /// named field per counter, so a result-assembly site that forgets a
-/// field fails to compile instead of silently dropping it (the bug
-/// class the tuple this replaced invited).
+/// field fails to compile instead of silently dropping it.
 #[derive(Debug, Default)]
-pub(crate) struct WorkerTotals {
-    pub(crate) iterations: u64,
-    pub(crate) skipped: u64,
-    pub(crate) wakeups: u64,
-    pub(crate) delta_facts: u64,
-    pub(crate) delta_applies: u64,
-    pub(crate) sched: SchedStats,
-    pub(crate) trace: TraceBuffer,
+pub struct WorkerTotals {
+    /// Evaluations this worker performed.
+    pub iterations: u64,
+    /// Pops absorbed by the epoch gate.
+    pub skipped: u64,
+    /// Wakeups this worker enqueued.
+    pub wakeups: u64,
+    /// Facts this worker's evaluations added.
+    pub delta_facts: u64,
+    /// Narrowed semi-naive application sites.
+    pub delta_applies: u64,
+    /// Scheduling counters.
+    pub sched: SchedStats,
+    /// This worker's telemetry ring, merged into
+    /// [`crate::telemetry::RunTrace`] at result assembly.
+    pub trace: TraceBuffer,
 }
 
 impl WorkerState {
-    /// Fresh state carrying `trace` — how a pool tenant installs its
-    /// ring before the first resume.
+    /// Fresh state carrying `trace` — how every worker starts, a pool
+    /// tenant included (its ring is installed before the first resume).
     pub(crate) fn with_trace(trace: TraceBuffer) -> Self {
         WorkerState {
             trace,
@@ -621,20 +601,12 @@ impl WorkerState {
     }
 }
 
-impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
-    fn new(id: usize, fabric: &'f Fabric<C, M>, mode: EvalMode, trace: TraceBuffer) -> Self {
-        let state = WorkerState {
-            trace,
-            ..WorkerState::default()
-        };
-        Self::resume(id, fabric, mode, state)
-    }
-
+impl<'f, T, M> WorkerCtx<'f, T, M> {
     /// Rebinds parked worker state to `fabric` for the next run quantum
     /// (the inverse of [`WorkerCtx::suspend`]).
     pub(crate) fn resume(
         id: usize,
-        fabric: &'f Fabric<C, M>,
+        fabric: &'f Fabric<T, M>,
         mode: EvalMode,
         state: WorkerState,
     ) -> Self {
@@ -642,44 +614,22 @@ impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
             id,
             fabric,
             mode,
-            wakes: state.wakes,
-            wakeups: state.wakeups,
-            delta_facts: state.delta_facts,
-            delta_applies: state.delta_applies,
-            sched: state.sched,
-            trace: state.trace,
-            depth_sum: state.depth_sum,
-            iterations: state.iterations,
-            skipped: state.skipped,
-            pops: state.pops,
-            was_idle: state.was_idle,
+            state,
         }
     }
 
     /// Parks this worker's loop state, releasing the fabric borrow
     /// until the next [`WorkerCtx::resume`].
     pub(crate) fn suspend(self) -> WorkerState {
-        WorkerState {
-            wakes: self.wakes,
-            wakeups: self.wakeups,
-            delta_facts: self.delta_facts,
-            delta_applies: self.delta_applies,
-            sched: self.sched,
-            trace: self.trace,
-            depth_sum: self.depth_sum,
-            iterations: self.iterations,
-            skipped: self.skipped,
-            pops: self.pops,
-            was_idle: self.was_idle,
-        }
+        self.state
     }
 
     /// Publishes the idle→busy transition (at most once per idle
     /// stretch) — called whenever a turn finds messages or a task.
     fn note_busy_transition(&mut self) {
-        if self.was_idle {
+        if self.state.was_idle {
             self.fabric.note_busy(self.id);
-            self.was_idle = false;
+            self.state.was_idle = false;
         }
     }
 
@@ -687,12 +637,6 @@ impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
     /// sharded backend).
     pub fn id(&self) -> usize {
         self.id
-    }
-
-    /// Total pops this worker has taken (evaluations + gate-skips) —
-    /// the analysis pool meters its bounded quanta on this.
-    pub(crate) fn pops(&self) -> u64 {
-        self.pops
     }
 
     /// Total workers in the run.
@@ -713,40 +657,39 @@ impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
         self.fabric.inboxes[target].lock_recovered().push_back(msg);
     }
 
-    /// Routes never-seen successors through the global dedup into this
-    /// worker's stealable queue (locality first; stealing rebalances).
-    pub fn submit_fresh(&self, successors: &mut Vec<C>) {
-        for succ in successors.drain(..) {
-            let fresh = self.fabric.seen[seen_shard(&succ)]
-                .lock()
-                .expect("seen lock")
-                .insert(succ.clone());
-            if fresh {
-                self.fabric.pending_add();
-                self.fabric.queues[self.id]
-                    .lock()
-                    .expect("queue lock")
-                    .push_back(succ);
-            }
+    /// Queues a never-seen task on this worker's stealable queue
+    /// (locality first; stealing rebalances). The backend has already
+    /// deduplicated it: each configuration is submitted once per run.
+    pub fn submit_fresh(&self, task: T) {
+        self.fabric.pending_add();
+        self.fabric.queues[self.id].lock_recovered().push_back(task);
+    }
+
+    /// Schedules a wakeup of locally homed task `i` — whether the
+    /// growth was observed here or a remote wake message delivered it.
+    /// A task already waiting in the wake queue is not queued again (its
+    /// pending re-run observes this growth too), so `wakeups` counts
+    /// enqueues, on the receiving worker.
+    pub fn wake_local(&mut self, i: usize) {
+        if i >= self.state.queued.len() {
+            self.state.queued.resize(i + 1, false);
+        }
+        if !self.state.queued[i] {
+            self.state.queued[i] = true;
+            self.state.wakeups += 1;
+            self.fabric.pending_add();
+            self.state.wakes.push_back(i);
         }
     }
 
-    /// Schedules a wakeup of locally homed task `i`, counting it both
-    /// pending and as a wakeup.
-    pub fn wake_local(&mut self, i: usize) {
-        self.wakeups += 1;
-        self.fabric.pending_add();
-        self.wakes.push_back(i);
+    /// Pops the next pinned re-run, clearing its is-queued flag.
+    fn pop_wake(&mut self) -> Option<usize> {
+        let i = self.state.wakes.pop_front()?;
+        self.state.queued[i] = false;
+        Some(i)
     }
 
-    /// Enqueues a wakeup delivered *by message* — the sender already
-    /// counted it as a wakeup; only the pending count is added here.
-    pub fn deliver_wake(&mut self, i: usize) {
-        self.fabric.pending_add();
-        self.wakes.push_back(i);
-    }
-
-    fn pop_local(&self) -> Option<C> {
+    fn pop_local(&self) -> Option<T> {
         self.fabric.queues[self.id].lock_recovered().pop_front()
     }
 
@@ -755,7 +698,7 @@ impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
     /// are never held across each other, so crossed steals cannot
     /// deadlock. Stolen tasks were already counted pending when first
     /// queued — moving them counts nothing.
-    fn steal(&mut self) -> Option<C> {
+    fn steal(&mut self) -> Option<T> {
         let n = self.fabric.queues.len();
         for off in 1..n {
             let victim = (self.id + off) % n;
@@ -767,7 +710,7 @@ impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
                 }
                 q.split_off(len - len.div_ceil(2))
             };
-            self.trace.steal(stolen.len() as u64);
+            self.state.trace.steal(stolen.len() as u64);
             let first = stolen.pop_front();
             if !stolen.is_empty() {
                 self.fabric.queues[self.id]
@@ -775,10 +718,10 @@ impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
                     .expect("queue lock")
                     .append(&mut stolen);
             }
-            self.sched.steals += 1;
+            self.state.sched.steals += 1;
             return first;
         }
-        self.sched.failed_steals += 1;
+        self.state.sched.failed_steals += 1;
         None
     }
 
@@ -788,7 +731,11 @@ impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
         // this worker drained), never by the delivered batch sizes —
         // those are themselves capped by the limit, and averaging them
         // would pin the limit at MIN_DRAIN_BATCH forever.
-        match self.depth_sum.checked_div(self.sched.inbox_drains) {
+        match self
+            .state
+            .depth_sum
+            .checked_div(self.state.sched.inbox_drains)
+        {
             None => MIN_DRAIN_BATCH,
             Some(avg) => usize::try_from(avg)
                 .unwrap_or(MAX_DRAIN_BATCH)
@@ -806,9 +753,9 @@ impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
         if depth == 0 {
             return VecDeque::new();
         }
-        self.sched.inbox_drains += 1;
-        self.sched.max_inbox_depth = self.sched.max_inbox_depth.max(depth as u64);
-        self.depth_sum += depth as u64;
+        self.state.sched.inbox_drains += 1;
+        self.state.sched.max_inbox_depth = self.state.sched.max_inbox_depth.max(depth as u64);
+        self.state.depth_sum += depth as u64;
         let msgs = if depth <= limit {
             std::mem::take(&mut *inbox)
         } else {
@@ -816,50 +763,57 @@ impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
             // the messages left behind.
             inbox.drain(..limit).collect()
         };
-        self.sched.inbox_batches += msgs.len() as u64;
-        self.trace.inbox_drain(msgs.len() as u64);
+        self.state.sched.inbox_batches += msgs.len() as u64;
+        self.state.trace.inbox_drain(msgs.len() as u64);
         msgs
     }
 }
 
-/// The store-specific half of a parallel worker: what the fabric's
-/// generic driver ([`drive`]) calls into.
+/// The store-specific half of a fabric worker: what the fabric's
+/// generic driver ([`drive`], [`drive_one`]) calls into.
 ///
 /// Implementations hold the worker's store view and its per-config
-/// scheduling state (read sets, last-run epochs, dependency lists);
-/// the fabric holds everything else. Every hook receives the worker's
-/// [`WorkerCtx`] to submit fresh configurations, schedule wakeups, and
-/// route messages.
-pub trait BackendWorker: Send {
-    /// The machine's configuration type (tasks move between workers by
-    /// value; `Debug` so an aborted run can name the panicking
-    /// configuration).
-    type Config: Clone + Eq + Hash + Send + Sync + std::fmt::Debug;
+/// scheduling state (the seen set, read sets, last-run epochs,
+/// dependency lists); the fabric holds everything else. Every hook
+/// receives the worker's [`WorkerCtx`] to submit fresh tasks, schedule
+/// wakeups, and route messages.
+///
+/// Nothing here asks for `Send`: a one-worker run ([`drive_one`])
+/// stays on the caller's thread. Only [`drive`]'s multi-worker spawn
+/// requires the backend, its tasks and its messages to cross threads.
+pub trait BackendWorker {
+    /// What the fresh-task queues carry for a never-evaluated
+    /// configuration: the configuration itself when tasks can be stolen
+    /// by another worker, a local index when the worker interns on
+    /// discovery.
+    type Task;
     /// The backend's inter-worker message: a sharded growth /
     /// dependency / wake routing message ([`std::convert::Infallible`]
     /// for a backend that runs one worker).
-    type Msg: Send;
+    type Msg;
 
     /// Seeds the worker's store view before the loop starts (e.g. the
     /// Featherweight Java machine pre-binds the `Main` receiver).
-    fn seed(&mut self, ctx: &mut WorkerCtx<'_, Self::Config, Self::Msg>);
+    fn seed(&mut self, ctx: &mut WorkerCtx<'_, Self::Task, Self::Msg>);
 
-    /// Interns a fresh or stolen configuration into this worker's local
-    /// tables, returning its task index. The configuration is homed
-    /// here from now on: wakeups for it are pinned to this worker.
-    fn intern(&mut self, cfg: Self::Config) -> usize;
+    /// Homes a fresh or stolen task on this worker, returning its local
+    /// index (interning the configuration if the backend has not yet).
+    /// Wakeups for it are pinned to this worker from now on.
+    fn home(&mut self, task: Self::Task) -> usize;
 
     /// The epoch gate: `true` when re-evaluating task `i` is provably a
     /// no-op (no address it last read has grown past the epoch that
-    /// evaluation observed). The fabric's wake queues are dedup-free,
-    /// so duplicate wakeups die here — this gate is load-bearing, not
-    /// an optimization.
+    /// evaluation observed). A one-worker run with exact dependency
+    /// lists never trips it; a sharded run pops stale cross-worker
+    /// wakes (a wake that arrives after the re-run it asked for) and
+    /// they die here.
     fn gated(&self, i: usize) -> bool;
 
     /// Evaluates task `i`: step the machine against the store view,
-    /// register dependencies (with stale-dep pruning), submit fresh
-    /// successors, and announce growth (local wakes + routed messages).
-    fn evaluate(&mut self, i: usize, ctx: &mut WorkerCtx<'_, Self::Config, Self::Msg>);
+    /// register dependencies (with stale-dep pruning), deduplicate and
+    /// submit fresh successors, and announce growth (local wakes +
+    /// routed messages).
+    fn evaluate(&mut self, i: usize, ctx: &mut WorkerCtx<'_, Self::Task, Self::Msg>);
 
     /// `Debug`-renders task `i`'s configuration, for
     /// [`Status::Aborted`]'s diagnostic when its evaluation panics.
@@ -869,41 +823,24 @@ pub trait BackendWorker: Send {
     /// message's pending count after this returns, so everything the
     /// delivery spawns (wakes, forwarded messages) must be counted
     /// inside.
-    fn on_msg(&mut self, msg: Self::Msg, ctx: &mut WorkerCtx<'_, Self::Config, Self::Msg>);
+    fn on_msg(&mut self, msg: Self::Msg, ctx: &mut WorkerCtx<'_, Self::Task, Self::Msg>);
 
     /// Enforces [`EngineLimits::store_bytes_watermark`], called on the
     /// pop cadence: trim delta logs if the store this worker writes
     /// outgrew `watermark`.
     fn enforce_watermark(&mut self, watermark: usize);
-
-    /// Final accounting after the loop exits (e.g. measuring a private
-    /// store's resident bytes into `sched`).
-    fn finish(&mut self, sched: &mut SchedStats);
 }
 
 /// What one worker hands back from [`drive`]: its backend (store view,
 /// machine, backend-specific counters) plus the fabric-accumulated
-/// scheduling counters.
+/// counters.
 #[derive(Debug)]
 pub struct WorkerReport<B> {
-    /// The backend worker, for the caller to drain (machine absorb,
+    /// The backend worker, for the caller to drain (store, machine,
     /// counter sums).
     pub backend: B,
-    /// Evaluations this worker performed.
-    pub iterations: u64,
-    /// Pops absorbed by the epoch gate.
-    pub skipped: u64,
-    /// Wakeups this worker scheduled.
-    pub wakeups: u64,
-    /// Facts this worker's evaluations added.
-    pub delta_facts: u64,
-    /// Narrowed semi-naive application sites.
-    pub delta_applies: u64,
-    /// Scheduling counters.
-    pub sched: SchedStats,
-    /// This worker's telemetry ring, merged into
-    /// [`crate::telemetry::RunTrace`] at result assembly.
-    pub trace: TraceBuffer,
+    /// The worker's scheduling counters and telemetry ring.
+    pub totals: WorkerTotals,
 }
 
 /// The unified worker loop — the one place every scheduling invariant
@@ -929,7 +866,7 @@ pub struct WorkerReport<B> {
 /// which by monotonicity is a subset of the true fixpoint.
 fn run_worker<B: BackendWorker>(
     mut backend: B,
-    mut ctx: WorkerCtx<'_, B::Config, B::Msg>,
+    mut ctx: WorkerCtx<'_, B::Task, B::Msg>,
     limits: &EngineLimits,
     armed: Option<&ArmedFaultPlan>,
     start: Instant,
@@ -952,17 +889,9 @@ fn run_worker<B: BackendWorker>(
         }
     }
 
-    backend.finish(&mut ctx.sched);
-
     WorkerReport {
         backend,
-        iterations: ctx.iterations,
-        skipped: ctx.skipped,
-        wakeups: ctx.wakeups,
-        delta_facts: ctx.delta_facts,
-        delta_applies: ctx.delta_applies,
-        sched: ctx.sched,
-        trace: ctx.trace,
+        totals: ctx.suspend().into_totals(),
     }
 }
 
@@ -971,7 +900,7 @@ fn run_worker<B: BackendWorker>(
 /// Runs once per worker before its first turn.
 pub(crate) fn seed_worker<B: BackendWorker>(
     backend: &mut B,
-    ctx: &mut WorkerCtx<'_, B::Config, B::Msg>,
+    ctx: &mut WorkerCtx<'_, B::Task, B::Msg>,
 ) {
     if let Err(payload) =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| backend.seed(ctx)))
@@ -1001,7 +930,7 @@ pub(crate) enum Turn {
 /// (suspend the ctx to a [`WorkerState`], resume it elsewhere).
 pub(crate) fn worker_turn<B: BackendWorker>(
     backend: &mut B,
-    ctx: &mut WorkerCtx<'_, B::Config, B::Msg>,
+    ctx: &mut WorkerCtx<'_, B::Task, B::Msg>,
     limits: &EngineLimits,
     armed: Option<&ArmedFaultPlan>,
     start: Instant,
@@ -1029,10 +958,10 @@ pub(crate) fn worker_turn<B: BackendWorker>(
     // after (deferring them coalesces several growth events into
     // one re-evaluation); stealing only when both are dry.
     let task: Option<usize> = match ctx.pop_local() {
-        Some(cfg) => Some(backend.intern(cfg)),
-        None => match ctx.wakes.pop_front() {
+        Some(task) => Some(backend.home(task)),
+        None => match ctx.pop_wake() {
             Some(i) => Some(i),
-            None => ctx.steal().map(|cfg| backend.intern(cfg)),
+            None => ctx.steal().map(|task| backend.home(task)),
         },
     };
     let Some(i) = task else {
@@ -1044,11 +973,16 @@ pub(crate) fn worker_turn<B: BackendWorker>(
         // watchdog (idle loop only — the hot path pays nothing),
         // then check whether all-idle-with-pending has persisted
         // past the threshold.
-        ctx.fabric
-            .note_idle(ctx.id, ctx.pops, &ctx.sched, ctx.iterations, ctx.skipped);
-        ctx.was_idle = true;
+        ctx.fabric.note_idle(
+            ctx.id,
+            ctx.state.pops,
+            &ctx.state.sched,
+            ctx.state.iterations,
+            ctx.state.skipped,
+        );
+        ctx.state.was_idle = true;
         if let Some(threshold) = limits.stall_timeout {
-            ctx.trace.watchdog_tick();
+            ctx.state.trace.watchdog_tick();
             if let Some(dump) = ctx.fabric.check_stall(threshold, start) {
                 ctx.fabric.stop(Status::Aborted {
                     config: Status::STALL_WATCHDOG.to_owned(),
@@ -1057,12 +991,16 @@ pub(crate) fn worker_turn<B: BackendWorker>(
                 return Turn::Stopped;
             }
         }
-        ctx.sched.idle_spins += 1;
+        ctx.state.sched.idle_spins += 1;
         return Turn::Idle;
     };
     ctx.note_busy_transition();
 
-    ctx.pops += 1;
+    // Limits are consulted on this worker's first pop — so a cancelled
+    // token or a spent budget stops the run before it evaluates
+    // anything — and then every LIMIT_CHECK_CADENCE pops.
+    let check_limits = ctx.state.pops.is_multiple_of(LIMIT_CHECK_CADENCE);
+    ctx.state.pops += 1;
     let pop_faults = armed.map(ArmedFaultPlan::on_pop).unwrap_or_default();
     if pop_faults.leak {
         ctx.fabric.pending_add();
@@ -1070,7 +1008,7 @@ pub(crate) fn worker_turn<B: BackendWorker>(
     if pop_faults.trim {
         backend.enforce_watermark(0);
     }
-    if ctx.pops.is_multiple_of(LIMIT_CHECK_CADENCE) {
+    if check_limits {
         let external = limits
             .cancel
             .as_ref()
@@ -1092,13 +1030,12 @@ pub(crate) fn worker_turn<B: BackendWorker>(
         }
     }
 
-    // The epoch gate is load-bearing here: the wake queue carries
-    // no is-queued dedup, so a configuration woken by several
-    // growth events before its re-run pops once per event — and
-    // every pop past the first dies here.
+    // The epoch gate: a pop whose re-evaluation would be a provable
+    // no-op (a stale cross-worker wake that arrived after the re-run
+    // it asked for) dies here.
     if backend.gated(i) {
-        ctx.skipped += 1;
-        ctx.trace.gate_skip(i as u64);
+        ctx.state.skipped += 1;
+        ctx.state.trace.gate_skip(i as u64);
         ctx.fabric.pending_sub();
         return Turn::Worked;
     }
@@ -1108,21 +1045,21 @@ pub(crate) fn worker_turn<B: BackendWorker>(
         ctx.fabric.pending_sub();
         return Turn::Worked;
     }
-    ctx.iterations += 1;
+    ctx.state.iterations += 1;
 
     // Contained evaluation: the injected-fault hook runs inside the
     // same catch_unwind as the machine's transfer function, so an
     // injected panic exercises exactly the real abort path. The
     // eval_end event is emitted on the panic path too, so every
     // counted iteration has a complete start/end pair in the trace.
-    ctx.trace.eval_start(i as u64);
+    ctx.state.trace.eval_start(i as u64);
     let evaluated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if let Some(plan) = armed {
             plan.on_eval(ctx.id);
         }
         backend.evaluate(i, ctx)
     }));
-    ctx.trace.eval_end(i as u64);
+    ctx.state.trace.eval_end(i as u64);
     // Only now is this task's own pending count released:
     // everything it spawned is already counted, so pending == 0
     // implies global quiescence. Released on the panic path too, so
@@ -1138,67 +1075,98 @@ pub(crate) fn worker_turn<B: BackendWorker>(
     Turn::Worked
 }
 
-/// Runs one backend worker per fabric slot to quiescence (or until a
-/// limit fires) and returns their reports. `backends.len()` must equal
-/// [`Fabric::threads`]. Single-worker runs stay on the caller's thread:
-/// deterministic, no spawn cost — and the degenerate case of the same
-/// algorithm.
-pub fn drive<B: BackendWorker>(
-    fabric: &Fabric<B::Config, B::Msg>,
-    backends: Vec<B>,
+/// A fresh worker context whose telemetry ring is timed from `start`.
+fn fresh_ctx<'f, T, M>(
+    id: usize,
+    fabric: &'f Fabric<T, M>,
     mode: EvalMode,
     limits: &EngineLimits,
     start: Instant,
-) -> Vec<WorkerReport<B>> {
+) -> WorkerCtx<'f, T, M> {
+    let mut trace = TraceBuffer::new(limits.trace);
+    trace.set_origin(start);
+    WorkerCtx::resume(id, fabric, mode, WorkerState::with_trace(trace))
+}
+
+/// Runs the worker of a one-worker fabric to quiescence (or until a
+/// limit fires) on the caller's thread — how the sequential engine
+/// ([`crate::engine::run_fixpoint`]) runs: deterministic, no spawn
+/// cost, and nothing crosses a thread, so the backend need not be
+/// `Send`.
+pub fn drive_one<B: BackendWorker>(
+    fabric: &Fabric<B::Task, B::Msg>,
+    backend: B,
+    mode: EvalMode,
+    limits: &EngineLimits,
+    start: Instant,
+) -> WorkerReport<B> {
+    assert_eq!(fabric.threads(), 1, "drive_one runs a one-worker fabric");
+    // Arm the fault plan for exactly this run: per-run counters and a
+    // per-run cancel token — never shared with another run holding the
+    // same limits.
+    let armed = limits.fault_plan.as_deref().map(ArmedFaultPlan::new);
+    let ctx = fresh_ctx(0, fabric, mode, limits, start);
+    run_worker(backend, ctx, limits, armed.as_ref(), start)
+}
+
+/// Runs one backend worker per fabric slot to quiescence (or until a
+/// limit fires) and returns their reports. `backends.len()` must equal
+/// [`Fabric::threads`]. A single worker stays on the caller's thread
+/// ([`drive_one`]); N workers run on scoped threads, which is why only
+/// this entry point asks the backend, its tasks and its messages to be
+/// `Send`.
+pub fn drive<B>(
+    fabric: &Fabric<B::Task, B::Msg>,
+    mut backends: Vec<B>,
+    mode: EvalMode,
+    limits: &EngineLimits,
+    start: Instant,
+) -> Vec<WorkerReport<B>>
+where
+    B: BackendWorker + Send,
+    B::Task: Send,
+    B::Msg: Send,
+{
     assert_eq!(
         backends.len(),
         fabric.threads(),
         "one backend worker per fabric slot"
     );
-    let mut backends = backends;
-    let ctx_for = |id: usize| {
-        let mut trace = TraceBuffer::new(limits.trace);
-        trace.set_origin(start);
-        WorkerCtx::new(id, fabric, mode, trace)
-    };
-    // Arm the fault plan for exactly this run: per-run counters and a
-    // per-run cancel token, shared by reference across this run's
-    // workers only — never with another run holding the same limits.
-    let armed = limits.fault_plan.as_deref().map(ArmedFaultPlan::new);
-    let armed = armed.as_ref();
-
     if backends.len() == 1 {
         let backend = backends.pop().expect("one worker");
-        vec![run_worker(backend, ctx_for(0), limits, armed, start)]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = backends
-                .drain(..)
-                .enumerate()
-                .map(|(id, backend)| {
-                    let ctx = ctx_for(id);
-                    scope.spawn(move || run_worker(backend, ctx, limits, armed, start))
-                })
-                .collect();
-            // Machine panics are contained inside run_worker, so a
-            // worker thread dying here means a fabric bug — still, the
-            // run (and the process) must survive it: record the abort
-            // *immediately* so the remaining workers observe the done
-            // flag and drain instead of spinning on work the dead
-            // worker will never release, then keep joining. The dead
-            // worker's report (its store view, its counters) is lost; the
-            // partial result is assembled from the survivors.
-            let mut reports = Vec::with_capacity(handles.len());
-            for h in handles {
-                match h.join() {
-                    Ok(report) => reports.push(report),
-                    Err(payload) => fabric.stop(Status::Aborted {
-                        config: "<worker>".to_owned(),
-                        message: panic_message(payload.as_ref()),
-                    }),
-                }
-            }
-            reports
-        })
+        return vec![drive_one(fabric, backend, mode, limits, start)];
     }
+    // One armed plan per run, shared by reference across this run's
+    // workers only.
+    let armed = limits.fault_plan.as_deref().map(ArmedFaultPlan::new);
+    let armed = armed.as_ref();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = backends
+            .drain(..)
+            .enumerate()
+            .map(|(id, backend)| {
+                let ctx = fresh_ctx(id, fabric, mode, limits, start);
+                scope.spawn(move || run_worker(backend, ctx, limits, armed, start))
+            })
+            .collect();
+        // Machine panics are contained inside run_worker, so a
+        // worker thread dying here means a fabric bug — still, the
+        // run (and the process) must survive it: record the abort
+        // *immediately* so the remaining workers observe the done
+        // flag and drain instead of spinning on work the dead
+        // worker will never release, then keep joining. The dead
+        // worker's report (its store view, its counters) is lost; the
+        // partial result is assembled from the survivors.
+        let mut reports = Vec::with_capacity(handles.len());
+        for h in handles {
+            match h.join() {
+                Ok(report) => reports.push(report),
+                Err(payload) => fabric.stop(Status::Aborted {
+                    config: "<worker>".to_owned(),
+                    message: panic_message(payload.as_ref()),
+                }),
+            }
+        }
+        reports
+    })
 }

@@ -1,12 +1,14 @@
 //! The store-backend selectors, one per run shape.
 //!
-//! A run with **N workers** uses the shared address-sharded store
-//! ([`crate::shardstore`]), selected by [`Sharded`] — the one
-//! [`StoreBackend`] that [`run_fixpoint_parallel_on`] dispatches to.
-//! A run with **one worker** needs no sharing: the sequential engine
+//! Every run is a [`crate::fabric`] run. A run with **N workers** uses
+//! the shared address-sharded store ([`crate::shardstore`]), selected by
+//! [`Sharded`] — the one [`StoreBackend`] that
+//! [`run_fixpoint_parallel_on`] dispatches to. A run with **one
+//! worker** needs no sharing: the sequential engine
 //! ([`crate::engine::run_fixpoint`]) and every [`crate::pool`] tenant
-//! keep a private [`crate::store::AbsStore`]; [`Replicated`] selects
-//! that tenant store (the one [`crate::pool::PoolBackend`]).
+//! run the same private-store worker over a private
+//! [`crate::store::AbsStore`]; [`Replicated`] selects it as the tenant
+//! store (the one [`crate::pool::PoolBackend`]).
 //!
 //! # Convergence
 //!
@@ -56,7 +58,8 @@ pub trait StoreBackend {
 }
 
 /// The pool tenant's store: one private [`crate::store::AbsStore`] per
-/// tenant, driven by a one-worker fabric loop ([`crate::pool`]).
+/// tenant, driven by a one-worker fabric loop ([`crate::pool`]) — the
+/// sequential engine's worker, run in quanta.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct Replicated;
 
@@ -144,13 +147,13 @@ mod tests {
     use crate::pool::{AnalysisPool, PoolConfig};
 
     /// The reader (scheduled first) reads two addresses that two later
-    /// configurations grow one step apart. The wake queue carries no
-    /// is-queued bitmap, so the second growth enqueues a second wakeup;
-    /// by the time it pops, the first re-evaluation has already seen
-    /// both values and the epoch gate must skip it. A pool tenant runs
-    /// one worker, so the schedule is deterministic: root, reader, two
-    /// growers, the justified re-run, then exactly one gate-skipped
-    /// duplicate.
+    /// configurations grow one step apart. The fabric runs fresh
+    /// configurations before pinned re-runs, so both growths land while
+    /// the reader's first wakeup is still queued: the second finds it
+    /// queued and adds nothing. Every one-worker run — sequential, pool
+    /// tenant, sharded at one thread — takes the same deterministic
+    /// schedule: root, reader, two growers, one re-run that sees both
+    /// values, and no duplicate for the epoch gate to absorb.
     struct TwoGrowers;
 
     impl AbstractMachine for TwoGrowers {
@@ -185,24 +188,40 @@ mod tests {
     }
 
     #[test]
-    fn epoch_gate_fires_on_duplicate_wakeups() {
+    fn a_reader_woken_twice_before_its_rerun_is_queued_once() {
         let pool = AnalysisPool::new(PoolConfig {
             threads: 1,
             ..PoolConfig::default()
         });
-        let r = pool
+        let tenant = pool
             .submit::<Replicated, _>(TwoGrowers, EngineLimits::default(), EvalMode::SemiNaive)
             .wait()
             .fixpoint;
         pool.shutdown();
-        assert_eq!(r.status, Status::Completed);
-        assert_eq!(r.wakeups, 2, "each grower wakes the reader once");
-        assert_eq!(r.skipped, 1, "the duplicate wakeup dies at the epoch gate");
-        assert_eq!(
-            r.iterations, 5,
-            "root, reader, growers, one justified re-run"
+        let sequential = crate::engine::run_fixpoint(&mut TwoGrowers, EngineLimits::default());
+        let sharded = run_fixpoint_parallel_on::<Sharded, _>(
+            &mut TwoGrowers,
+            1,
+            EngineLimits::default(),
+            EvalMode::SemiNaive,
         );
-        assert_eq!(r.store.read(&100), [7].into_iter().collect());
-        assert_eq!(r.store.read(&101), [8].into_iter().collect());
+        for (r, label) in [
+            (sequential, "sequential"),
+            (tenant, "pool tenant"),
+            (sharded, "sharded@1"),
+        ] {
+            assert_eq!(r.status, Status::Completed, "{label}");
+            assert_eq!(
+                r.wakeups, 1,
+                "{label}: the second growth finds the reader queued"
+            );
+            assert_eq!(r.skipped, 0, "{label}: no duplicate reaches the epoch gate");
+            assert_eq!(
+                r.iterations, 5,
+                "{label}: root, reader, growers, one justified re-run"
+            );
+            assert_eq!(r.store.read(&100), [7].into_iter().collect(), "{label}");
+            assert_eq!(r.store.read(&101), [8].into_iter().collect(), "{label}");
+        }
     }
 }

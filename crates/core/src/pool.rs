@@ -13,19 +13,19 @@
 //!
 //! # Per-run state split
 //!
-//! Everything that used to be "the run" — pending counter, dedup
-//! seen-set, status, stop flag, watchdog meters — lives in the
-//! tenant's own private [`Fabric`]; the pool shares only threads.
-//! A tenant is a parked `fabric::WorkerState` plus its one backend
-//! worker, which keeps a private store (`TenantWorker`, selected by
-//! [`crate::parallel::Replicated`]): whichever pool thread picks the
-//! tenant up next resumes the state
+//! Everything that makes up one run — pending counter, status,
+//! stop flag, watchdog meters — lives in the tenant's own private
+//! one-worker [`Fabric`]; the pool shares only threads. A tenant is a
+//! parked `fabric::WorkerState` plus the private-store worker of the
+//! sequential engine (`engine::SoloWorker`, selected by
+//! [`crate::parallel::Replicated`]), which owns the submitted machine:
+//! whichever pool thread picks the tenant up next resumes the state
 //! against the tenant's fabric (`WorkerCtx::resume`), runs a bounded
-//! quantum of `fabric::worker_turn`s, and parks it again. This is
-//! exactly the loop the sharded engine's workers run — one turn is one
-//! unit of either — and a monotone transfer function has one least
-//! fixpoint, so a pooled run reaches the same fixpoint as a solo run.
-//! When the run stops, the tenant hands its store over as the result.
+//! quantum of `fabric::worker_turn`s, and parks it again. One turn is
+//! one unit of the loop [`crate::engine::run_fixpoint`] runs to
+//! quiescence in one go, so a pooled run takes exactly the sequential
+//! engine's trajectory and reaches its fixpoint. When the run stops,
+//! the tenant hands its store and machine over as the result.
 //!
 //! # Fairness
 //!
@@ -71,14 +71,11 @@
 //! ```
 
 use crate::engine::{
-    AbstractMachine, CancelToken, EngineLimits, EvalMode, FixpointResult, SchedStats, Status,
-    TrackedStore,
+    AbstractMachine, CancelToken, EngineLimits, EvalMode, FixpointResult, SoloWorker, Status,
 };
-use crate::fabric::{self, ArmedFaultPlan, BackendWorker, Fabric, LockRecovered, Turn, WorkerCtx};
-use crate::fxhash::FxHashMap;
+use crate::fabric::{self, ArmedFaultPlan, Fabric, LockRecovered, Turn, WorkerCtx};
 use crate::parallel::ParallelMachine;
-use crate::store::AbsStore;
-use crate::telemetry::{RunTrace, TraceBuffer};
+use crate::telemetry::TraceBuffer;
 use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -171,9 +168,8 @@ pub trait TenantRun: Send {
 /// A finished pooled run: the machine (with its accumulated metric
 /// state) plus the raw fixpoint.
 pub struct PoolRun<M: AbstractMachine> {
-    /// The machine the tenant drove, with every worker-side metric
-    /// absorbed — what `build_metrics`-style summaries
-    /// read.
+    /// The machine the tenant drove, with its accumulated metric state
+    /// — what `build_metrics`-style summaries read.
     pub machine: M,
     /// The raw fixpoint result, [`FixpointResult::queue_wait`] filled
     /// in by the pool.
@@ -208,144 +204,12 @@ pub trait PoolBackend {
         M::Val: Send + Sync + 'static;
 }
 
-/// The store-specific half of a tenant: a private store plus the
-/// scheduling tables of the sequential engine (configs, dependency
-/// lists with pruning, read sets, last-run epochs). One worker owns it,
-/// so reads and writes never cross a thread boundary and no message is
-/// ever sent ([`Infallible`]). The fabric's wake queue is dedup-free,
-/// so a configuration woken by several growth events pops several
-/// times and the epoch gate absorbs the duplicates in O(|reads|).
-struct TenantWorker<M: AbstractMachine> {
-    machine: M,
-    store: AbsStore<M::Addr, M::Val>,
-    configs: Vec<M::Config>,
-    index: FxHashMap<M::Config, usize>,
-    deps: Vec<Vec<usize>>,
-    config_reads: Vec<Vec<u32>>,
-    last_run_epoch: Vec<Option<u64>>,
-    /// Scratch for the woken dependents, recycled across evaluations.
-    woken: Vec<usize>,
-    /// Successor scratch, recycled across evaluations.
-    successors: Vec<M::Config>,
-    /// Tracking-buffer scratch (reads, grew, delta), recycled likewise.
-    bufs: (Vec<u32>, Vec<u32>, Vec<u32>),
-}
-
-impl<M> BackendWorker for TenantWorker<M>
-where
-    M: ParallelMachine,
-    M::Config: Send + Sync,
-    M::Addr: Send + Sync,
-    M::Val: Send + Sync,
-{
-    type Config = M::Config;
-    type Msg = Infallible;
-
-    fn seed(&mut self, _ctx: &mut WorkerCtx<'_, M::Config, Infallible>) {
-        let mut tracked =
-            TrackedStore::wrap(&mut self.store, None, Vec::new(), Vec::new(), Vec::new());
-        self.machine.seed(&mut tracked);
-    }
-
-    fn intern(&mut self, cfg: M::Config) -> usize {
-        if let Some(&i) = self.index.get(&cfg) {
-            return i;
-        }
-        let i = self.configs.len();
-        self.configs.push(cfg.clone());
-        self.index.insert(cfg, i);
-        self.config_reads.push(Vec::new());
-        self.last_run_epoch.push(None);
-        i
-    }
-
-    fn gated(&self, i: usize) -> bool {
-        match self.last_run_epoch[i] {
-            Some(epoch) => self.config_reads[i]
-                .iter()
-                .all(|&a| self.store.addr_epoch(a) <= epoch),
-            None => false,
-        }
-    }
-
-    /// Evaluates one task (by local index): step, dependency
-    /// registration with pruning, successor dedup, wakeups. Mirrors one
-    /// iteration of [`crate::engine::run_fixpoint`].
-    fn evaluate(&mut self, i: usize, ctx: &mut WorkerCtx<'_, M::Config, Infallible>) {
-        let epoch_at_start = self.store.epoch();
-        let config = self.configs[i].clone();
-        self.successors.clear();
-        let (reads_buf, grew_buf, delta_buf) = &mut self.bufs;
-        reads_buf.clear();
-        grew_buf.clear();
-        let baseline = match ctx.mode() {
-            EvalMode::SemiNaive => self.last_run_epoch[i],
-            EvalMode::FullReeval => None,
-        };
-        let mut tracked = TrackedStore::wrap(
-            &mut self.store,
-            baseline,
-            std::mem::take(reads_buf),
-            std::mem::take(grew_buf),
-            std::mem::take(delta_buf),
-        );
-        self.machine
-            .step(&config, &mut tracked, &mut self.successors);
-        let (reads, grew, delta, step_delta, step_applies) = tracked.into_parts();
-        self.bufs = (reads, grew, delta);
-        ctx.delta_facts += step_delta;
-        ctx.delta_applies += step_applies;
-        self.last_run_epoch[i] = Some(epoch_at_start);
-
-        crate::engine::register_deps(&mut self.deps, &mut self.config_reads, i, &mut self.bufs.0);
-
-        ctx.submit_fresh(&mut self.successors);
-
-        // Wake the dependents of the grown addresses, without is-queued
-        // dedup: the epoch gate disarms duplicates at pop time.
-        let woken = &mut self.woken;
-        woken.clear();
-        for &a in &self.bufs.1 {
-            if let Some(dependents) = self.deps.get(a as usize) {
-                woken.extend_from_slice(dependents);
-            }
-        }
-        woken.sort_unstable();
-        woken.dedup();
-        if !woken.is_empty() {
-            ctx.trace.wake_batch(woken.len() as u64);
-        }
-        for &j in woken.iter() {
-            ctx.wake_local(j);
-        }
-    }
-
-    fn describe(&self, i: usize) -> String {
-        format!("{:?}", self.configs[i])
-    }
-
-    fn on_msg(&mut self, msg: Infallible, _ctx: &mut WorkerCtx<'_, M::Config, Infallible>) {
-        match msg {}
-    }
-
-    fn enforce_watermark(&mut self, watermark: usize) {
-        if self.store.delta_log_bytes() > watermark {
-            self.store.trim_delta_logs();
-        }
-    }
-
-    fn finish(&mut self, sched: &mut SchedStats) {
-        sched.store_resident_bytes = self.store.approx_bytes() as u64;
-    }
-}
-
-/// One tenant: a private one-worker [`Fabric`], the [`TenantWorker`]
-/// homed on it, the parked loop state the quanta resume, and the
-/// submitted machine the worker's state folds back into.
+/// One tenant: a private one-worker [`Fabric`], the private-store
+/// worker homed on it (which owns the submitted machine), and the parked
+/// loop state the quanta resume.
 pub(crate) struct SoloTenant<M: ParallelMachine> {
-    fabric: Fabric<M::Config, Infallible>,
-    backend: TenantWorker<M>,
-    machine: M,
+    fabric: Fabric<usize, Infallible>,
+    backend: SoloWorker<M>,
     /// Parked between quanta; taken while one is running.
     state: Option<fabric::WorkerState>,
     limits: EngineLimits,
@@ -373,25 +237,12 @@ where
         mode: EvalMode,
         deposit: Box<dyn FnOnce(PoolRun<M>) + Send>,
     ) -> Self {
-        let fabric = Fabric::new(1);
-        fabric.submit_root(machine.initial());
+        let (fabric, backend) = SoloWorker::fabric(machine);
         let armed = limits.fault_plan.as_deref().map(ArmedFaultPlan::new);
         let state = fabric::WorkerState::with_trace(TraceBuffer::new(limits.trace));
         SoloTenant {
             fabric,
-            backend: TenantWorker {
-                machine: machine.fork(),
-                store: AbsStore::new(),
-                configs: Vec::new(),
-                index: FxHashMap::default(),
-                deps: Vec::new(),
-                config_reads: Vec::new(),
-                last_run_epoch: Vec::new(),
-                woken: Vec::new(),
-                successors: Vec::new(),
-                bufs: Default::default(),
-            },
-            machine,
+            backend,
             state: Some(state),
             limits,
             armed,
@@ -420,12 +271,12 @@ where
             state.trace.set_origin(start);
         }
         let mut ctx = WorkerCtx::resume(0, &self.fabric, self.mode, state);
-        ctx.trace.tenant_resume(ctx.pops());
+        ctx.state.trace.tenant_resume(ctx.state.pops);
         if !self.seeded {
             self.seeded = true;
             fabric::seed_worker(&mut self.backend, &mut ctx);
         }
-        let budget = ctx.pops() + max_pops;
+        let budget = ctx.state.pops + max_pops;
         let outcome = loop {
             match fabric::worker_turn(
                 &mut self.backend,
@@ -436,11 +287,11 @@ where
             ) {
                 Turn::Stopped => break Quantum::Finished,
                 Turn::Idle => break Quantum::Idle,
-                Turn::Worked if ctx.pops() >= budget => break Quantum::Progress,
+                Turn::Worked if ctx.state.pops >= budget => break Quantum::Progress,
                 Turn::Worked => {}
             }
         };
-        ctx.trace.tenant_suspend(ctx.pops());
+        ctx.state.trace.tenant_suspend(ctx.state.pops);
         self.state = Some(ctx.suspend());
         outcome
     }
@@ -452,47 +303,21 @@ where
             .is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Deposits the run: the tenant's store *is* the result, handed
-    /// over as is, and the worker machine folds into the submitted one.
+    /// Deposits the run: the tenant's store *is* the result and its
+    /// machine the submitted one, both handed over as is.
     fn finish(self: Box<Self>, queue_wait: Duration) {
         let SoloTenant {
             fabric,
-            mut backend,
-            mut machine,
+            backend,
             state,
             started,
             deposit,
             ..
         } = *self;
-        let (status, configs) = fabric.finish();
-        let fabric::WorkerTotals {
-            iterations,
-            skipped,
-            wakeups,
-            delta_facts,
-            delta_applies,
-            mut sched,
-            trace,
-        } = state.expect("tenant state parked").into_totals();
-        backend.finish(&mut sched);
-        machine.absorb(backend.machine);
-        deposit(PoolRun {
-            machine,
-            fixpoint: FixpointResult {
-                configs,
-                store: backend.store,
-                status,
-                iterations,
-                skipped,
-                wakeups,
-                delta_facts,
-                delta_applies,
-                sched,
-                elapsed: started.map_or(Duration::ZERO, |s| s.elapsed()),
-                queue_wait,
-                trace: RunTrace::from_buffers(vec![trace]),
-            },
-        });
+        let status = fabric.finish();
+        let totals = state.expect("tenant state parked").into_totals();
+        let elapsed = started.map_or(Duration::ZERO, |s| s.elapsed());
+        deposit(backend.into_result(status, totals, elapsed, queue_wait));
     }
 
     fn finish_cancelled(self: Box<Self>, queue_wait: Duration) {

@@ -7,8 +7,9 @@
 //! # How work and facts move
 //!
 //! Configurations are sharded by **first touch**: a fresh configuration
-//! is deduplicated once, globally, through the fabric's hash-sharded
-//! seen-set, entered into a stealable queue, and becomes *homed* at
+//! is deduplicated once, globally, through the run's hash-sharded
+//! seen set that every worker shares, entered into a stealable
+//! queue, and becomes *homed* at
 //! whichever worker first evaluates it — its read set and last-run
 //! epochs live only there, and every re-evaluation (wakeup) is pinned
 //! to that home. Only never-evaluated configurations migrate between
@@ -64,10 +65,58 @@
 
 use super::store::{ShardBufs, ShardView, SharedStore};
 use crate::engine::{EngineLimits, EvalMode, FixpointResult, SchedStats, TrackedStore};
-use crate::fabric::{self, Fabric, WorkerCtx};
-use crate::fxhash::FxHashMap;
+use crate::fabric::{self, Fabric, LockRecovered, WorkerCtx};
+use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use crate::parallel::ParallelMachine;
+use std::hash::{Hash, Hasher};
+use std::sync::Mutex;
 use std::time::Instant;
+
+/// Number of seen-set shards (a power of two well above any sane
+/// thread count, so dedup contention stays negligible).
+const SEEN_SHARDS: usize = 64;
+
+/// The configurations every worker of one sharded run has discovered,
+/// sharded by hash: a fresh successor is queued only by the worker
+/// whose insert wins, so each configuration is evaluated once,
+/// run-wide. Drained into [`FixpointResult::configs`] when the run
+/// ends.
+struct SeenSet<C> {
+    shards: Vec<Mutex<FxHashSet<C>>>,
+}
+
+impl<C: Clone + Eq + Hash> SeenSet<C> {
+    fn new() -> Self {
+        SeenSet {
+            shards: (0..SEEN_SHARDS)
+                .map(|_| Mutex::new(FxHashSet::default()))
+                .collect(),
+        }
+    }
+
+    /// Records `cfg`, returning whether it was never seen before.
+    fn insert(&self, cfg: &C) -> bool {
+        // Sharded on the *high* hash bits: the intra-shard set derives
+        // its bucket index from the low bits of the very same hash, so
+        // sharding on those would cluster every entry of a shard onto
+        // 1/64th of the bucket positions.
+        let mut h = FxHasher::default();
+        cfg.hash(&mut h);
+        let shard = (h.finish() >> 58) as usize % SEEN_SHARDS;
+        self.shards[shard].lock_recovered().insert(cfg.clone())
+    }
+
+    fn into_configs(self) -> Vec<C> {
+        self.shards
+            .into_iter()
+            .flat_map(|shard| {
+                shard
+                    .into_inner()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+            })
+            .collect()
+    }
+}
 
 /// An inter-worker message. Everything is id-level — the global
 /// interner is what keeps the wire format free of values.
@@ -106,6 +155,8 @@ struct DepBatch {
 struct ShardedWorker<'s, M: ParallelMachine> {
     machine: M,
     store: &'s SharedStore<M::Addr, M::Val>,
+    /// The run's shared dedup of fresh configurations.
+    seen: &'s SeenSet<M::Config>,
     /// Locally homed configurations.
     configs: Vec<M::Config>,
     index: FxHashMap<M::Config, usize>,
@@ -123,8 +174,6 @@ struct ShardedWorker<'s, M: ParallelMachine> {
     out_deps: Vec<DepBatch>,
     /// Per-owner outgoing growth notifications (scratch).
     out_grew: Vec<Vec<u32>>,
-    /// Local wake scratch.
-    woken: Vec<usize>,
     /// Successor scratch, recycled across evaluations.
     successors: Vec<M::Config>,
     joins: u64,
@@ -138,11 +187,16 @@ where
     M::Addr: Send + Sync + Ord,
     M::Val: Send + Sync,
 {
-    fn new(machine: M, store: &'s SharedStore<M::Addr, M::Val>) -> Self {
+    fn new(
+        machine: M,
+        store: &'s SharedStore<M::Addr, M::Val>,
+        seen: &'s SeenSet<M::Config>,
+    ) -> Self {
         let threads = store.shard_count();
         ShardedWorker {
             machine,
             store,
+            seen,
             configs: Vec::new(),
             index: FxHashMap::default(),
             config_reads: Vec::new(),
@@ -152,7 +206,6 @@ where
             out_wakes: (0..threads).map(|_| Vec::new()).collect(),
             out_deps: (0..threads).map(|_| DepBatch::default()).collect(),
             out_grew: (0..threads).map(|_| Vec::new()).collect(),
-            woken: Vec::new(),
             successors: Vec::new(),
             joins: 0,
             value_joins: 0,
@@ -162,11 +215,12 @@ where
     /// Wakes the dependents of every *self-owned* row among the
     /// (sorted, unique) grown rows — rows owned elsewhere are ignored
     /// (their owners are notified separately). Homed dependents enter
-    /// the local wake queue, remote ones are batched per target worker
-    /// (flushed by [`ShardedWorker::flush_wakes`]).
+    /// the local wake queue (which drops the ones already queued),
+    /// remote ones are batched per target worker (flushed by
+    /// [`ShardedWorker::flush_wakes`]).
     fn wake_dependents_of(&mut self, grown: &[u32], ctx: &mut WorkerCtx<'_, M::Config, Msg>) {
-        debug_assert!(self.woken.is_empty(), "woken scratch left dirty");
         let me = ctx.id();
+        let before = ctx.state.wakeups;
         for &a in grown {
             if self.store.owner(a) != me {
                 continue;
@@ -174,26 +228,21 @@ where
             if let Some(list) = self.deps.get(&a) {
                 for &(w, c) in list {
                     if w as usize == me {
-                        self.woken.push(c as usize);
+                        ctx.wake_local(c as usize);
                     } else {
                         self.out_wakes[w as usize].push(c);
                     }
                 }
             }
         }
-        self.woken.sort_unstable();
-        self.woken.dedup();
-        if !self.woken.is_empty() {
-            ctx.trace.wake_batch(self.woken.len() as u64);
+        let woken = ctx.state.wakeups - before;
+        if woken > 0 {
+            ctx.state.trace.wake_batch(woken);
         }
-        for idx in 0..self.woken.len() {
-            let j = self.woken[idx];
-            ctx.wake_local(j);
-        }
-        self.woken.clear();
     }
 
-    /// Ships the batched remote wakes, one message per target.
+    /// Ships the batched remote wakes, one message per target (the
+    /// receiver counts the ones it enqueues).
     fn flush_wakes(&mut self, ctx: &mut WorkerCtx<'_, M::Config, Msg>) {
         for target in 0..self.out_wakes.len() {
             if self.out_wakes[target].is_empty() {
@@ -202,7 +251,6 @@ where
             let mut batch = std::mem::take(&mut self.out_wakes[target]);
             batch.sort_unstable();
             batch.dedup();
-            ctx.wakeups += batch.len() as u64;
             ctx.send(target, Msg::Wakes(batch));
         }
     }
@@ -325,7 +373,7 @@ where
     M::Addr: Send + Sync + Ord,
     M::Val: Send + Sync,
 {
-    type Config = M::Config;
+    type Task = M::Config;
     type Msg = Msg;
 
     fn seed(&mut self, ctx: &mut WorkerCtx<'_, M::Config, Msg>) {
@@ -345,7 +393,9 @@ where
         self.bufs = bufs;
     }
 
-    fn intern(&mut self, cfg: M::Config) -> usize {
+    /// Interns a fresh or stolen configuration into this worker's
+    /// local tables: it is homed here from now on.
+    fn home(&mut self, cfg: M::Config) -> usize {
         if let Some(&i) = self.index.get(&cfg) {
             return i;
         }
@@ -372,7 +422,7 @@ where
         self.successors.clear();
         let baseline = ctx.mode() == EvalMode::SemiNaive && self.evaluated[i];
         let mut bufs = std::mem::take(&mut self.bufs);
-        bufs.time_locks = ctx.trace.enabled();
+        bufs.time_locks = ctx.state.trace.enabled();
         let prev_reads: &[(u32, u64)] = if baseline { &self.config_reads[i] } else { &[] };
         let view = ShardView::new(self.store, ctx.id(), prev_reads, baseline, false, bufs);
         let mut tracked = TrackedStore::wrap_shard(view);
@@ -380,13 +430,13 @@ where
             .step(&config, &mut tracked, &mut self.successors);
         let (view, step_delta_facts, step_delta_applies) = tracked.into_shard_parts();
         let (mut bufs, step_joins, step_value_joins) = view.into_bufs();
-        ctx.delta_facts += step_delta_facts;
-        ctx.delta_applies += step_delta_applies;
+        ctx.state.delta_facts += step_delta_facts;
+        ctx.state.delta_applies += step_delta_applies;
         self.joins += step_joins;
         self.value_joins += step_value_joins;
 
         for &us in &bufs.lock_waits {
-            ctx.trace.row_lock_wait(us);
+            ctx.state.trace.row_lock_wait(us);
         }
         bufs.lock_waits.clear();
 
@@ -397,7 +447,11 @@ where
         bufs.reads.dedup_by_key(|&mut (a, _)| a);
         self.register_deps(i, &mut bufs.reads, ctx);
 
-        ctx.submit_fresh(&mut self.successors);
+        for succ in self.successors.drain(..) {
+            if self.seen.insert(&succ) {
+                ctx.submit_fresh(succ);
+            }
+        }
 
         bufs.grew.sort_unstable();
         bufs.grew.dedup();
@@ -454,10 +508,9 @@ where
             }
             Msg::Wakes(cfgs) => {
                 for c in cfgs {
-                    // The sender counted these as wakeups when it
-                    // shipped the batch; only the pending count and the
-                    // queue entry land here.
-                    ctx.deliver_wake(c as usize);
+                    // Counted here, where it enqueues (a config already
+                    // waiting for its re-run is not queued twice).
+                    ctx.wake_local(c as usize);
                 }
             }
         }
@@ -471,11 +524,6 @@ where
         if self.store.delta_log_bytes() > watermark {
             self.store.trim_delta_logs();
         }
-    }
-
-    fn finish(&mut self, _sched: &mut SchedStats) {
-        // Store-resident bytes are measured once, on the shared store,
-        // by the driver — not per worker.
     }
 }
 
@@ -518,32 +566,38 @@ where
     let threads = threads.max(1);
 
     let store: SharedStore<M::Addr, M::Val> = SharedStore::new(threads);
+    let seen = SeenSet::new();
     let fabric: Fabric<M::Config, Msg> = Fabric::new(threads);
-    fabric.submit_root(machine.initial());
+    let root = machine.initial();
+    seen.insert(&root);
+    fabric.submit_root(root);
 
     let backends: Vec<ShardedWorker<M>> = (0..threads)
-        .map(|_| ShardedWorker::new(machine.fork(), &store))
+        .map(|_| ShardedWorker::new(machine.fork(), &store, &seen))
         .collect();
     let reports = fabric::drive(&fabric, backends, mode, &limits, start);
-    let (status, configs) = fabric.finish();
+    let status = fabric.finish();
 
     let (mut iterations, mut skipped, mut wakeups) = (0u64, 0u64, 0u64);
     let (mut delta_facts, mut delta_applies) = (0u64, 0u64);
     let (mut joins, mut value_joins) = (0u64, 0u64);
     let mut sched = SchedStats::default();
     let mut rings = Vec::new();
-    for report in reports {
-        iterations += report.iterations;
-        skipped += report.skipped;
-        wakeups += report.wakeups;
-        delta_facts += report.delta_facts;
-        delta_applies += report.delta_applies;
-        joins += report.backend.joins;
-        value_joins += report.backend.value_joins;
-        sched.absorb(&report.sched);
-        rings.push(report.trace);
-        machine.absorb(report.backend.machine);
+    for fabric::WorkerReport { backend, totals } in reports {
+        iterations += totals.iterations;
+        skipped += totals.skipped;
+        wakeups += totals.wakeups;
+        delta_facts += totals.delta_facts;
+        delta_applies += totals.delta_applies;
+        joins += backend.joins;
+        value_joins += backend.value_joins;
+        sched.absorb(&totals.sched);
+        rings.push(totals.trace);
+        machine.absorb(backend.machine);
     }
+    // Drained before the store, so the hash sets are gone by the time
+    // the store drain's peak allocation happens.
+    let configs = seen.into_configs();
 
     // The shared store *is* the result: measure it, then drain it into
     // an ordinary AbsStore without re-interning a single value.

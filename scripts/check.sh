@@ -19,6 +19,9 @@ cargo build --release
 # The benchmark helper (its own workspace) compiles against cfa-core's
 # public API; mirrors CI's "Build the benchmark helper" step.
 cargo build --release --offline --manifest-path repobench/Cargo.toml
+# Every first-party crate (the root manifest's `default-members`): the
+# cross-crate tests, each crate's unit tests and doc examples, and the
+# CLI tests.
 cargo test -q
 # Golden race-detector suite per evaluation mode, mirroring CI's
 # `races` matrix legs (the plain `cargo test` run above covers the

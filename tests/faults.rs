@@ -18,14 +18,16 @@
 //!
 //! Faults are keyed on exact global pop/evaluation counts
 //! ([`FaultPlan`]), so each scenario lands at the same logical point on
-//! every run. The multi-worker scenarios run the sharded backend; the
-//! pool scenario runs pool tenants.
+//! every run. The scenarios run every fabric engine: the sequential
+//! engine (a one-worker fabric) and the sharded backend; the pool
+//! scenarios run pool tenants.
 
 use cfa::analysis::engine::{
-    run_fixpoint_with, AbstractMachine, CancelToken, EngineLimits, EvalMode, Status, TrackedStore,
+    run_fixpoint_with, AbstractMachine, CancelToken, EngineLimits, EvalMode, FixpointResult,
+    Status, TrackedStore,
 };
 use cfa::analysis::fabric::{FaultPlan, LIMIT_CHECK_CADENCE};
-use cfa::analysis::kcfa::KCfaMachine;
+use cfa::analysis::kcfa::{AddrK, KCfaMachine, KConfig, ValK};
 use cfa::analysis::parallel::{run_fixpoint_parallel_on, ParallelMachine, Replicated, Sharded};
 use cfa::analysis::reference::{run_fixpoint_reference, RefTrackedStore, ReferenceMachine};
 use cfa::CpsProgram;
@@ -50,6 +52,25 @@ fn regex() -> CpsProgram {
     cfa::compile(src).expect("suite program compiles")
 }
 
+/// A k-CFA fixpoint of the fault workload.
+type KRun = FixpointResult<KConfig, AddrK, ValK>;
+
+/// The fabric engines every scenario runs on, by worker count: the
+/// sequential engine (a one-worker fabric) and the sharded backend at
+/// [`PAR_THREADS`] workers.
+const WORKERS: [usize; 2] = [1, PAR_THREADS];
+
+/// Runs `p` at k = 1 on `workers` fabric workers: the sequential engine
+/// for one, the sharded backend for more.
+fn run_on(workers: usize, p: &CpsProgram, limits: EngineLimits, mode: EvalMode) -> KRun {
+    let mut machine = KCfaMachine::new(p, 1);
+    if workers == 1 {
+        run_fixpoint_with(&mut machine, limits, mode)
+    } else {
+        run_fixpoint_parallel_on::<Sharded, _>(&mut machine, workers, limits, mode)
+    }
+}
+
 /// An injected panic at evaluation 50 must leave the process alive,
 /// join every worker, and return `Aborted` naming a real configuration
 /// whose partial store is a subset of the completed fixpoint.
@@ -62,29 +83,27 @@ fn injected_panic_is_contained_on_every_backend() {
         assert!(full.status.is_complete());
         let full = fixpoint_of(&full);
 
-        let limits = limits_with_plan(FaultPlan::new().panic_at_eval(50));
-        let r = run_fixpoint_parallel_on::<Sharded, _>(
-            &mut KCfaMachine::new(&p, 1),
-            PAR_THREADS,
-            limits,
-            mode,
-        );
-        let Status::Aborted { config, message } = &r.status else {
-            panic!("{mode:?}: expected Aborted, got {:?}", r.status);
-        };
-        assert!(
-            message.contains("injected fault: panic at evaluation 50"),
-            "{mode:?}: abort message {message:?} does not carry the panic payload"
-        );
-        assert!(
-            !config.is_empty() && config != "<seed>" && config != "<worker>",
-            "{mode:?}: abort should name the evaluating configuration, got {config:?}"
-        );
-        assert_fixpoint_subset(
-            &format!("{mode:?} post-panic partial"),
-            &fixpoint_of(&r),
-            &full,
-        );
+        for workers in WORKERS {
+            let label = format!("{workers} workers/{mode:?}");
+            let limits = limits_with_plan(FaultPlan::new().panic_at_eval(50));
+            let r = run_on(workers, &p, limits, mode);
+            let Status::Aborted { config, message } = &r.status else {
+                panic!("{label}: expected Aborted, got {:?}", r.status);
+            };
+            assert!(
+                message.contains("injected fault: panic at evaluation 50"),
+                "{label}: abort message {message:?} does not carry the panic payload"
+            );
+            assert!(
+                !config.is_empty() && config != "<seed>" && config != "<worker>",
+                "{label}: abort should name the evaluating configuration, got {config:?}"
+            );
+            assert_fixpoint_subset(
+                &format!("{label} post-panic partial"),
+                &fixpoint_of(&r),
+                &full,
+            );
+        }
     }
 }
 
@@ -178,32 +197,35 @@ fn worker_scoped_panic_is_contained_on_every_backend() {
 /// Cancellation is observed within one limit-check cadence per worker:
 /// after the token flips at global pop `N`, each of the `t` workers
 /// performs at most `LIMIT_CHECK_CADENCE` further pops before its next
-/// check (×2 slack for pops counted while the flip is in flight).
+/// check. One worker gets no more slack than that; several get ×2 for
+/// pops counted while the flip is in flight.
 #[test]
 fn cancellation_lands_within_bound_on_every_backend() {
     const CANCEL_AT: u64 = 400;
     let p = regex();
     for mode in MODES {
-        let limits = limits_with_plan(FaultPlan::new().cancel_at_pop(CANCEL_AT));
-        let r = run_fixpoint_parallel_on::<Sharded, _>(
-            &mut KCfaMachine::new(&p, 1),
-            PAR_THREADS,
-            limits,
-            mode,
-        );
-        assert_eq!(r.status, Status::Cancelled, "{mode:?}");
-        let pops = r.iterations + r.skipped;
-        let bound = CANCEL_AT + (PAR_THREADS as u64) * LIMIT_CHECK_CADENCE * 2;
-        assert!(
-            pops <= bound,
-            "{mode:?}: {pops} pops despite cancellation at pop {CANCEL_AT} (bound {bound})"
-        );
         let full = run_fixpoint_with(&mut KCfaMachine::new(&p, 1), EngineLimits::default(), mode);
-        assert_fixpoint_subset(
-            &format!("{mode:?} cancelled partial"),
-            &fixpoint_of(&r),
-            &fixpoint_of(&full),
-        );
+        for workers in WORKERS {
+            let label = format!("{workers} workers/{mode:?}");
+            let limits = limits_with_plan(FaultPlan::new().cancel_at_pop(CANCEL_AT));
+            let r = run_on(workers, &p, limits, mode);
+            assert_eq!(r.status, Status::Cancelled, "{label}");
+            let pops = r.iterations + r.skipped;
+            let slack = match workers {
+                1 => LIMIT_CHECK_CADENCE,
+                t => t as u64 * LIMIT_CHECK_CADENCE * 2,
+            };
+            let bound = CANCEL_AT + slack;
+            assert!(
+                pops <= bound,
+                "{label}: {pops} pops despite cancellation at pop {CANCEL_AT} (bound {bound})"
+            );
+            assert_fixpoint_subset(
+                &format!("{label} cancelled partial"),
+                &fixpoint_of(&r),
+                &fixpoint_of(&full),
+            );
+        }
     }
 }
 
@@ -214,127 +236,121 @@ fn forced_trim_preserves_fixpoint_on_every_backend() {
     let p = regex();
     for mode in MODES {
         let full = run_fixpoint_with(&mut KCfaMachine::new(&p, 1), EngineLimits::default(), mode);
-        let limits = limits_with_plan(FaultPlan::new().trim_at_pop(100));
-        let r = run_fixpoint_parallel_on::<Sharded, _>(
-            &mut KCfaMachine::new(&p, 1),
-            PAR_THREADS,
-            limits,
-            mode,
-        );
-        assert!(
-            r.status.is_complete(),
-            "{mode:?}: forced trim should not stop the run, got {:?}",
-            r.status
-        );
-        assert_eq!(
-            fixpoint_of(&r),
-            fixpoint_of(&full),
-            "{mode:?}: forced mid-run trim changed the fixpoint"
-        );
+        for workers in WORKERS {
+            let label = format!("{workers} workers/{mode:?}");
+            let limits = limits_with_plan(FaultPlan::new().trim_at_pop(100));
+            let r = run_on(workers, &p, limits, mode);
+            assert!(
+                r.status.is_complete(),
+                "{label}: forced trim should not stop the run, got {:?}",
+                r.status
+            );
+            assert_eq!(
+                fixpoint_of(&r),
+                fixpoint_of(&full),
+                "{label}: forced mid-run trim changed the fixpoint"
+            );
+        }
     }
 }
 
 /// A leaked pending count is a deliberate termination-protocol
 /// violation: pending never reaches zero, every worker goes idle, and
 /// without the watchdog the run would hang forever. The watchdog must
-/// turn that hang into a diagnostic abort.
+/// turn that hang into a diagnostic abort — on the sequential engine
+/// too, which is a one-worker fabric run.
 #[test]
 fn leaked_pending_trips_watchdog_on_every_backend() {
     let p = regex();
-    let mut limits = limits_with_plan(FaultPlan::new().leak_pending_at_pop(5));
-    limits.stall_timeout = Some(Duration::from_millis(200));
-    let r = run_fixpoint_parallel_on::<Sharded, _>(
-        &mut KCfaMachine::new(&p, 1),
-        PAR_THREADS,
-        limits,
-        EvalMode::SemiNaive,
-    );
-    let Status::Aborted { config, message } = &r.status else {
-        panic!("expected the watchdog to abort, got {:?}", r.status);
-    };
-    assert_eq!(config.as_str(), Status::STALL_WATCHDOG);
-    assert!(
-        message.contains("pending"),
-        "watchdog dump {message:?} should report the stuck pending count"
-    );
-}
-
-/// The sequential engine shares the fault hooks (it counts as worker
-/// 0), so the same plan aborts it the same way.
-#[test]
-fn sequential_engine_contains_injected_panic() {
-    quiet_injected_panics();
-    let p = regex();
-    for mode in MODES {
-        let full = run_fixpoint_with(&mut KCfaMachine::new(&p, 1), EngineLimits::default(), mode);
-        let limits = limits_with_plan(FaultPlan::new().panic_at_eval(50));
-        let r = run_fixpoint_with(&mut KCfaMachine::new(&p, 1), limits, mode);
+    for workers in WORKERS {
+        let mut limits = limits_with_plan(FaultPlan::new().leak_pending_at_pop(5));
+        limits.stall_timeout = Some(Duration::from_millis(200));
+        let r = run_on(workers, &p, limits, EvalMode::SemiNaive);
         let Status::Aborted { config, message } = &r.status else {
-            panic!("sequential/{mode:?}: expected Aborted, got {:?}", r.status);
+            panic!(
+                "{workers} workers: expected the watchdog to abort, got {:?}",
+                r.status
+            );
         };
-        assert!(message.contains("injected fault: panic at evaluation 50"));
-        assert!(!config.is_empty());
-        assert_fixpoint_subset(
-            &format!("sequential/{mode:?} post-panic partial"),
-            &fixpoint_of(&r),
-            &fixpoint_of(&full),
+        assert_eq!(config.as_str(), Status::STALL_WATCHDOG, "{workers} workers");
+        assert!(
+            message.contains("pending"),
+            "{workers} workers: watchdog dump {message:?} should report the stuck pending count"
         );
     }
 }
 
-/// The sequential engine observes an injected cancellation within one
-/// `LIMIT_CHECK_CADENCE`, the fabric's cadence: one worker, so no
-/// slack for flips in flight.
-#[test]
-fn sequential_engine_cancellation_lands_within_bound() {
-    const CANCEL_AT: u64 = 400;
+/// Runs the fault workload as a pool tenant under `limits`.
+fn run_tenant(p: &CpsProgram, limits: EngineLimits) -> KRun {
+    use cfa::analysis::kcfa::submit_kcfa;
+    use cfa::analysis::pool::{AnalysisPool, PoolConfig};
+    let pool = AnalysisPool::new(PoolConfig {
+        threads: 1,
+        ..PoolConfig::default()
+    });
+    let run = submit_kcfa::<Replicated>(&pool, std::sync::Arc::new(p.clone()), 1, limits).wait();
+    pool.shutdown();
+    run.fixpoint
+}
+
+/// Every fabric engine checks its limits on each worker's first pop:
+/// the sequential engine, the sharded backend at one and at several
+/// workers, and a pool tenant all stop with `expect` before evaluating.
+fn assert_stops_before_first_evaluation(limits: EngineLimits, expect: Status) {
     let p = regex();
-    let limits = limits_with_plan(FaultPlan::new().cancel_at_pop(CANCEL_AT));
-    let r = run_fixpoint_with(&mut KCfaMachine::new(&p, 1), limits, EvalMode::SemiNaive);
-    assert_eq!(r.status, Status::Cancelled);
-    assert!(
-        r.iterations + r.skipped <= CANCEL_AT + LIMIT_CHECK_CADENCE,
-        "sequential engine overran the injected cancellation: {} pops",
-        r.iterations + r.skipped
+    let sharded_1 = run_fixpoint_parallel_on::<Sharded, _>(
+        &mut KCfaMachine::new(&p, 1),
+        1,
+        limits.clone(),
+        EvalMode::SemiNaive,
     );
+    let runs = [
+        (
+            "sequential",
+            run_on(1, &p, limits.clone(), EvalMode::SemiNaive),
+        ),
+        (
+            "sharded",
+            run_on(PAR_THREADS, &p, limits.clone(), EvalMode::SemiNaive),
+        ),
+        ("sharded@1", sharded_1),
+        ("pool tenant", run_tenant(&p, limits)),
+    ];
+    for (label, r) in runs {
+        assert_eq!(r.status, expect, "{label}");
+        assert_eq!(r.iterations, 0, "{label}: evaluated despite {expect:?}");
+    }
 }
 
 /// A token cancelled before the run starts stops every engine at its
 /// very first limit check, before any evaluation.
 #[test]
 fn pre_cancelled_token_stops_every_engine_immediately() {
-    let p = regex();
     let token = CancelToken::new();
     token.cancel();
-
-    let r = run_fixpoint_with(
-        &mut KCfaMachine::new(&p, 1),
+    assert_stops_before_first_evaluation(
         EngineLimits::cancellable(token.clone()),
-        EvalMode::SemiNaive,
-    );
-    assert_eq!(r.status, Status::Cancelled);
-    assert_eq!(
-        r.iterations, 0,
-        "sequential engine evaluated despite cancellation"
+        Status::Cancelled,
     );
 
+    let p = regex();
     let r = run_fixpoint_reference(
         &mut KCfaMachine::new(&p, 1),
-        EngineLimits::cancellable(token.clone()),
+        EngineLimits::cancellable(token),
     );
     assert_eq!(r.status, Status::Cancelled);
     assert_eq!(
         r.iterations, 0,
         "reference engine evaluated despite cancellation"
     );
+}
 
-    let r = run_fixpoint_parallel_on::<Sharded, _>(
-        &mut KCfaMachine::new(&p, 1),
-        PAR_THREADS,
-        EngineLimits::cancellable(token),
-        EvalMode::SemiNaive,
-    );
-    assert_eq!(r.status, Status::Cancelled);
+/// A zero time budget is spent before the first pop: every fabric
+/// engine times out without evaluating (the reference oracle's twin is
+/// `reference_time_budget_checked_before_first_pop`).
+#[test]
+fn zero_time_budget_stops_every_engine_immediately() {
+    assert_stops_before_first_evaluation(EngineLimits::timeout(Duration::ZERO), Status::TimedOut);
 }
 
 /// A machine whose transfer function itself panics (no injection

@@ -3,9 +3,10 @@
 //! * **lost first wave** — an address that grows in two separate waves
 //!   must deliver both waves to its delta-reading dependents (a delta
 //!   snapshot reset between the waves would silently drop wave one);
-//! * **double-join after an epoch-gate skip** — a delta re-delivered
-//!   through a duplicate wakeup must die at the gate, not re-join
-//!   (asserted via *exact* join counts and delta-fact counts);
+//! * **double-join of a re-delivered delta** — a reader woken by two
+//!   waves before its re-run must take both in that one re-run and join
+//!   each fact exactly once (asserted via *exact* join counts and
+//!   delta-fact counts);
 //! * **deltas across workers** — a 2-worker sharded run whose facts
 //!   cross workers must reach the sequential fixpoint.
 
@@ -69,13 +70,16 @@ fn two_waves_both_reach_the_delta_reader() {
     );
 }
 
-/// The exact-count scenario on the one-worker fabric — a pool tenant
-/// and a one-worker sharded run — for a deterministic schedule: root,
-/// reader (empty first visit), grower 1 (wakes reader), grower 2 (wakes
-/// reader again), one justified re-run that sees the combined delta
-/// {7, 8}, then one duplicate pop that the epoch gate must absorb.
-/// Every join is accounted for — a re-delivered delta that joined again
-/// would show up in all three counters.
+/// The exact-count scenario on every one-worker run — the sequential
+/// engine, a pool tenant, and a one-worker sharded run — which all take
+/// the same deterministic schedule: root, reader (empty first visit),
+/// grower 1 (wakes the reader), grower 2 (finds the reader already
+/// queued, so no second wakeup), then one re-run that sees the combined
+/// delta {7, 8}. The fabric runs fresh configurations before pinned
+/// re-runs, so the second wave always lands before that re-run; with
+/// the wake queue's is-queued flag, no duplicate pop is left for the
+/// epoch gate. Every join is accounted for — a re-delivered delta that
+/// joined again would show up in all three counters.
 #[test]
 fn redelivered_deltas_do_not_double_join() {
     let pool = AnalysisPool::new(PoolConfig {
@@ -87,19 +91,28 @@ fn redelivered_deltas_do_not_double_join() {
         .wait()
         .fixpoint;
     pool.shutdown();
+    let sequential = run_fixpoint_with(
+        &mut TwoWaveCopier,
+        EngineLimits::default(),
+        EvalMode::SemiNaive,
+    );
     let sharded = run_fixpoint_parallel_on::<Sharded, _>(
         &mut TwoWaveCopier,
         1,
         EngineLimits::default(),
         EvalMode::SemiNaive,
     );
-    for (r, label) in [(tenant, "pool tenant"), (sharded, "sharded")] {
+    for (r, label) in [
+        (sequential, "sequential"),
+        (tenant, "pool tenant"),
+        (sharded, "sharded@1"),
+    ] {
         assert_eq!(r.status, Status::Completed, "{label}");
-        assert_eq!(r.wakeups, 2, "{label}: each wave wakes the reader once");
         assert_eq!(
-            r.skipped, 1,
-            "{label}: the duplicate wakeup dies at the epoch gate"
+            r.wakeups, 1,
+            "{label}: the second wave finds the reader still queued"
         );
+        assert_eq!(r.skipped, 0, "{label}: no duplicate pop reaches the gate");
         assert_eq!(
             r.iterations, 5,
             "{label}: root, first reader visit, two growers, one justified re-run"
