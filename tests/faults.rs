@@ -55,9 +55,9 @@ fn regex() -> CpsProgram {
 /// A k-CFA fixpoint of the fault workload.
 type KRun = FixpointResult<KConfig, AddrK, ValK>;
 
-/// The fabric engines every scenario runs on, by worker count: the
-/// sequential engine (a one-worker fabric) and the sharded backend at
-/// [`PAR_THREADS`] workers.
+/// The fabric engines, by worker count: the sequential engine (a
+/// one-worker fabric) and the sharded backend at [`PAR_THREADS`]
+/// workers.
 const WORKERS: [usize; 2] = [1, PAR_THREADS];
 
 /// Runs `p` at k = 1 on `workers` fabric workers: the sequential engine
@@ -74,37 +74,45 @@ fn run_on(workers: usize, p: &CpsProgram, limits: EngineLimits, mode: EvalMode) 
 /// An injected panic at evaluation 50 must leave the process alive,
 /// join every worker, and return `Aborted` naming a real configuration
 /// whose partial store is a subset of the completed fixpoint.
-#[test]
-fn injected_panic_is_contained_on_every_backend() {
+fn assert_injected_panic_contained(workers: usize) {
     quiet_injected_panics();
     let p = regex();
     for mode in MODES {
         let full = run_fixpoint_with(&mut KCfaMachine::new(&p, 1), EngineLimits::default(), mode);
         assert!(full.status.is_complete());
-        let full = fixpoint_of(&full);
 
-        for workers in WORKERS {
-            let label = format!("{workers} workers/{mode:?}");
-            let limits = limits_with_plan(FaultPlan::new().panic_at_eval(50));
-            let r = run_on(workers, &p, limits, mode);
-            let Status::Aborted { config, message } = &r.status else {
-                panic!("{label}: expected Aborted, got {:?}", r.status);
-            };
-            assert!(
-                message.contains("injected fault: panic at evaluation 50"),
-                "{label}: abort message {message:?} does not carry the panic payload"
-            );
-            assert!(
-                !config.is_empty() && config != "<seed>" && config != "<worker>",
-                "{label}: abort should name the evaluating configuration, got {config:?}"
-            );
-            assert_fixpoint_subset(
-                &format!("{label} post-panic partial"),
-                &fixpoint_of(&r),
-                &full,
-            );
-        }
+        let label = format!("{workers} workers/{mode:?}");
+        let limits = limits_with_plan(FaultPlan::new().panic_at_eval(50));
+        let r = run_on(workers, &p, limits, mode);
+        let Status::Aborted { config, message } = &r.status else {
+            panic!("{label}: expected Aborted, got {:?}", r.status);
+        };
+        assert!(
+            message.contains("injected fault: panic at evaluation 50"),
+            "{label}: abort message {message:?} does not carry the panic payload"
+        );
+        assert!(
+            !config.is_empty() && config != "<seed>" && config != "<worker>",
+            "{label}: abort should name the evaluating configuration, got {config:?}"
+        );
+        assert_fixpoint_subset(
+            &format!("{label} post-panic partial"),
+            &fixpoint_of(&r),
+            &fixpoint_of(&full),
+        );
     }
+}
+
+#[test]
+fn injected_panic_is_contained_on_every_backend() {
+    assert_injected_panic_contained(PAR_THREADS);
+}
+
+/// The sequential engine is a one-worker fabric run with the same
+/// fault hooks, so the same plan aborts it the same way.
+#[test]
+fn sequential_engine_contains_injected_panic() {
+    assert_injected_panic_contained(1);
 }
 
 /// A two-party machine whose steps 1 and 2 each spin until the other
@@ -199,34 +207,43 @@ fn worker_scoped_panic_is_contained_on_every_backend() {
 /// performs at most `LIMIT_CHECK_CADENCE` further pops before its next
 /// check. One worker gets no more slack than that; several get ×2 for
 /// pops counted while the flip is in flight.
-#[test]
-fn cancellation_lands_within_bound_on_every_backend() {
+fn assert_cancellation_within_bound(workers: usize) {
     const CANCEL_AT: u64 = 400;
     let p = regex();
     for mode in MODES {
         let full = run_fixpoint_with(&mut KCfaMachine::new(&p, 1), EngineLimits::default(), mode);
-        for workers in WORKERS {
-            let label = format!("{workers} workers/{mode:?}");
-            let limits = limits_with_plan(FaultPlan::new().cancel_at_pop(CANCEL_AT));
-            let r = run_on(workers, &p, limits, mode);
-            assert_eq!(r.status, Status::Cancelled, "{label}");
-            let pops = r.iterations + r.skipped;
-            let slack = match workers {
-                1 => LIMIT_CHECK_CADENCE,
-                t => t as u64 * LIMIT_CHECK_CADENCE * 2,
-            };
-            let bound = CANCEL_AT + slack;
-            assert!(
-                pops <= bound,
-                "{label}: {pops} pops despite cancellation at pop {CANCEL_AT} (bound {bound})"
-            );
-            assert_fixpoint_subset(
-                &format!("{label} cancelled partial"),
-                &fixpoint_of(&r),
-                &fixpoint_of(&full),
-            );
-        }
+        let label = format!("{workers} workers/{mode:?}");
+        let limits = limits_with_plan(FaultPlan::new().cancel_at_pop(CANCEL_AT));
+        let r = run_on(workers, &p, limits, mode);
+        assert_eq!(r.status, Status::Cancelled, "{label}");
+        let pops = r.iterations + r.skipped;
+        let slack = match workers {
+            1 => LIMIT_CHECK_CADENCE,
+            t => t as u64 * LIMIT_CHECK_CADENCE * 2,
+        };
+        let bound = CANCEL_AT + slack;
+        assert!(
+            pops <= bound,
+            "{label}: {pops} pops despite cancellation at pop {CANCEL_AT} (bound {bound})"
+        );
+        assert_fixpoint_subset(
+            &format!("{label} cancelled partial"),
+            &fixpoint_of(&r),
+            &fixpoint_of(&full),
+        );
     }
+}
+
+#[test]
+fn cancellation_lands_within_bound_on_every_backend() {
+    assert_cancellation_within_bound(PAR_THREADS);
+}
+
+/// The sequential engine, one worker, gets no slack for flips in
+/// flight: it stops within one `LIMIT_CHECK_CADENCE` of the flip.
+#[test]
+fn sequential_engine_cancellation_lands_within_bound() {
+    assert_cancellation_within_bound(1);
 }
 
 /// A forced watermark-0 delta-log trim mid-run degrades baselines to
