@@ -25,11 +25,11 @@
 //! `idle_spins`, `inbox_batches`, `inbox_drains`), so future PRs have
 //! a perf trajectory to compare against.
 //!
-//! Also measures the telemetry layer's disabled-path overhead with an
-//! interleaved A/B on the heaviest cell (interp k=2): `CFA_TRACE=off`
-//! vs `CFA_TRACE=full` runs alternate in one process, and the off arm
-//! must stay within 1.03x of the arm that actually pays for tracing
-//! (recorded under `trace_overhead` in the JSON).
+//! Also measures the telemetry layer's disabled-path overhead with a
+//! paired A/B on the heaviest cell (interp k=2): `CFA_TRACE=off` and
+//! `CFA_TRACE=full` runs alternate in pairs in one process, and the
+//! median per-pair off/full ratio must stay within 1.03x (recorded
+//! under `trace_overhead` in the JSON).
 //!
 //! Usage: `cargo run -p cfa-bench --release --bin engine_bench`
 //! (writes BENCH_engine.json into the current directory).
@@ -173,16 +173,27 @@ fn run_reference(program: &CpsProgram, k: usize, runs: usize) -> Cell {
     })
 }
 
-/// Interleaved A/B measurement of the disabled-trace path on one cell.
+/// The paired telemetry A/B runs at least this many pairs...
+const OVERHEAD_MIN_PAIRS: usize = 9;
+/// ...and until each arm has measured at least this many seconds.
+const OVERHEAD_MIN_ARM_SECONDS: f64 = 1.0;
+
+/// The paired A/B measurement of the disabled-trace path on one cell:
+/// `(pairs, median off seconds, median full seconds, median per-pair
+/// off/full ratio)`.
 ///
 /// The pre-telemetry binary is gone, so the measurable same-binary
-/// proxy alternates `CFA_TRACE=off` against `CFA_TRACE=full` runs in
-/// one process (drift lands on both arms equally): the off path keeps
-/// only the full path's gate branch, so staying within noise of the
-/// arm that pays for every ring write bounds the disabled cost from
-/// above. Returns per-arm *median* seconds — the cell runs ~0.2 s, so
-/// a single descheduling blip would swamp a mean.
-fn trace_overhead_ab(program: &CpsProgram, k: usize, repeats: usize) -> (f64, f64) {
+/// proxy runs `CFA_TRACE=off` against `CFA_TRACE=full` in one process:
+/// the off path keeps only the full path's gate branch, so staying
+/// within noise of the arm that pays for every ring write bounds the
+/// disabled cost from above. Each off run is paired with a full run,
+/// and which goes first alternates, so drift and bursts of stolen CPU
+/// land on both runs of a pair; the ratio is taken per pair and its
+/// median gated, so one descheduled run moves one pair, not an arm.
+/// Pairs continue until each arm has measured
+/// [`OVERHEAD_MIN_ARM_SECONDS`], so a faster cell still gets a sample
+/// that long.
+fn trace_overhead_ab(program: &CpsProgram, k: usize) -> (usize, f64, f64, f64) {
     let off = EngineLimits::default();
     let full = EngineLimits {
         trace: cfa_core::TraceConfig::full(),
@@ -200,15 +211,33 @@ fn trace_overhead_ab(program: &CpsProgram, k: usize, repeats: usize) -> (f64, f6
     time(&off);
     time(&full);
     let (mut off_samples, mut full_samples) = (Vec::new(), Vec::new());
-    for _ in 0..repeats {
-        off_samples.push(time(&off));
-        full_samples.push(time(&full));
+    while off_samples.len() < OVERHEAD_MIN_PAIRS
+        || off_samples.iter().sum::<f64>() < OVERHEAD_MIN_ARM_SECONDS
+        || full_samples.iter().sum::<f64>() < OVERHEAD_MIN_ARM_SECONDS
+    {
+        if off_samples.len() % 2 == 0 {
+            off_samples.push(time(&off));
+            full_samples.push(time(&full));
+        } else {
+            full_samples.push(time(&full));
+            off_samples.push(time(&off));
+        }
     }
+    let mut ratios: Vec<f64> = off_samples
+        .iter()
+        .zip(&full_samples)
+        .map(|(off, full)| off / full.max(1e-9))
+        .collect();
     let median = |samples: &mut Vec<f64>| -> f64 {
         samples.sort_by(f64::total_cmp);
         samples[samples.len() / 2]
     };
-    (median(&mut off_samples), median(&mut full_samples))
+    (
+        ratios.len(),
+        median(&mut off_samples),
+        median(&mut full_samples),
+        median(&mut ratios),
+    )
 }
 
 fn cell_json(out: &mut String, tag: &str, c: &Cell) {
@@ -240,20 +269,7 @@ fn cell_json(out: &mut String, tag: &str, c: &Cell) {
 }
 
 fn main() {
-    // The depth-sweep functional workload: the representative suite
-    // programs the E12 experiment sweeps, plus the worst-case family
-    // (densest store traffic), each at context depths 0..=2.
-    let mut workload: Vec<(String, String)> = cfa_workloads::suite()
-        .into_iter()
-        .filter(|p| matches!(p.name, "eta" | "sat" | "regex" | "interp"))
-        .map(|p| (p.name.to_owned(), p.source.to_owned()))
-        .collect();
-    for n in [2usize, 4, 6] {
-        workload.push((
-            format!("worst-case-{n}"),
-            cfa_workloads::worst_case_source(n),
-        ));
-    }
+    let workload = cfa_bench::depth_sweep_programs();
 
     let runs = 3;
     let mut rows: Vec<String> = Vec::new();
@@ -276,7 +292,7 @@ fn main() {
     );
     for (name, source) in &workload {
         let program = cfa_syntax::compile(source).expect("workload compiles");
-        for k in 0..=2usize {
+        for k in cfa_bench::DEPTH_SWEEP_KS {
             let semi = run_new(&program, k, runs, EvalMode::SemiNaive);
             let new = run_new(&program, k, runs, EvalMode::FullReeval);
             let sharded = run_sharded(&program, k, runs);
@@ -345,20 +361,20 @@ fn main() {
          peak {peak_facts} facts"
     );
 
-    // Disabled-path telemetry overhead, measured not assumed: the
-    // ISSUE gate is `CFA_TRACE=off` wall clock <= 1.03x on interp k=2.
-    let overhead_repeats = 9usize;
+    // Disabled-path telemetry overhead, measured not assumed: the gate
+    // is `CFA_TRACE=off` wall clock <= 1.03x of `full` on interp k=2.
     let interp_src = &workload
         .iter()
         .find(|(n, _)| n == "interp")
         .expect("interp in workload")
         .1;
     let interp_prog = cfa_syntax::compile(interp_src).expect("workload compiles");
-    let (trace_off_s, trace_full_s) = trace_overhead_ab(&interp_prog, 2, overhead_repeats);
-    let trace_off_ratio = trace_off_s / trace_full_s.max(1e-9);
+    let (overhead_repeats, trace_off_s, trace_full_s, trace_off_ratio) =
+        trace_overhead_ab(&interp_prog, 2);
     println!(
-        "telemetry overhead (interp k=2, interleaved x{overhead_repeats}): CFA_TRACE=off \
-         {trace_off_s:.4}s vs full {trace_full_s:.4}s ({trace_off_ratio:.3}x)"
+        "telemetry overhead (interp k=2, {overhead_repeats} pairs): CFA_TRACE=off \
+         {trace_off_s:.4}s vs full {trace_full_s:.4}s (median per-pair ratio \
+         {trace_off_ratio:.3}x)"
     );
     assert!(
         trace_off_ratio <= 1.03,

@@ -11,6 +11,28 @@ use cfa_core::Analysis;
 use cfa_syntax::cps::CpsProgram;
 use std::time::Duration;
 
+/// The depth-sweep workload `engine_bench` measures, as `(name,
+/// source)` pairs: the representative suite programs the E12 experiment
+/// sweeps, plus the worst-case family (densest store traffic). Each
+/// program runs at every depth of [`DEPTH_SWEEP_KS`]: 21 cells.
+pub fn depth_sweep_programs() -> Vec<(String, String)> {
+    let mut programs: Vec<(String, String)> = cfa_workloads::suite()
+        .into_iter()
+        .filter(|p| matches!(p.name, "eta" | "sat" | "regex" | "interp"))
+        .map(|p| (p.name.to_owned(), p.source.to_owned()))
+        .collect();
+    for n in [2usize, 4, 6] {
+        programs.push((
+            format!("worst-case-{n}"),
+            cfa_workloads::worst_case_source(n),
+        ));
+    }
+    programs
+}
+
+/// The context depths of the depth sweep.
+pub const DEPTH_SWEEP_KS: [usize; 3] = [0, 1, 2];
+
 /// Default per-cell wall-clock budget, overridable with the
 /// `CFA_CELL_TIMEOUT_SECS` environment variable.
 pub fn cell_budget() -> Duration {

@@ -19,16 +19,18 @@
 //! ```
 //!
 //! The analysis-running subcommands read their [`EngineLimits`] from
-//! the environment: `CFA_MAX_ITERS`, `CFA_TIME_BUDGET_MS`, and
-//! `CFA_FAULT_PLAN` (see `cfa_core::fabric::FaultPlan::parse`).
+//! the environment once, before anything else: `CFA_MAX_ITERS`,
+//! `CFA_TIME_BUDGET_MS`, `CFA_FAULT_PLAN` (see
+//! `cfa_core::fabric::FaultPlan::parse`) and `CFA_TRACE`; `cfa serve`
+//! also reads `CFA_POOL_THREADS` and `CFA_POOL_QUEUE_DEPTH`.
 //!
-//! Exit codes: `0` success, `1` input/analysis errors, `2` usage, and
-//! one distinct code per early-stop [`Status`] — `3` timed out, `4`
-//! iteration limit, `5` cancelled, `6` aborted — each with a one-line
-//! stderr diagnostic, so scripts can tell a budget overrun from a
-//! contained crash without parsing stdout. `cfa compare` redefines the
-//! small codes for diffing: `0` identical, `1` divergent, `2`
-//! malformed or not-comparable input.
+//! Exit codes: `0` success, `1` input/analysis errors, `2` usage or a
+//! malformed `CFA_*` variable, and one distinct code per early-stop
+//! [`Status`] — `3` timed out, `4` iteration limit, `5` cancelled, `6`
+//! aborted — each with a one-line stderr diagnostic, so scripts can
+//! tell a budget overrun from a contained crash without parsing stdout.
+//! `cfa compare` redefines the small codes for diffing: `0` identical,
+//! `1` divergent, `2` malformed or not-comparable input.
 
 use cfa_core::engine::{EngineLimits, Status};
 use cfa_core::Analysis;
@@ -56,11 +58,21 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Limits for the analysis-running subcommands, read from the
-/// environment (`CFA_MAX_ITERS`, `CFA_TIME_BUDGET_MS`,
-/// `CFA_FAULT_PLAN`); unset variables leave the defaults.
-fn run_limits() -> EngineLimits {
-    EngineLimits::from_env()
+/// Runs an analysis-running subcommand with the limits read once from
+/// the environment (unset variables leave the defaults). A malformed
+/// value exits `2` with one line naming it, before `command` runs.
+fn with_limits(command: impl FnOnce(&EngineLimits) -> ExitCode) -> ExitCode {
+    match EngineLimits::try_from_env() {
+        Ok(limits) => command(&limits),
+        Err(e) => bad_knob(&e),
+    }
+}
+
+/// The one-line diagnostic and exit code for a malformed `CFA_*`
+/// variable.
+fn bad_knob(error: &str) -> ExitCode {
+    eprintln!("cfa: {error}");
+    ExitCode::from(2)
 }
 
 /// Maps an early-stop status to its diagnostic and distinct exit code:
@@ -92,26 +104,26 @@ fn main() -> ExitCode {
         return usage();
     };
     match command.as_str() {
-        "analyze" => cmd_analyze(rest),
-        "races" => cmd_races(rest),
-        "dump" => cmd_dump(rest),
+        "analyze" => with_limits(|limits| cmd_analyze(rest, limits)),
+        "races" => with_limits(|limits| cmd_races(rest, limits)),
+        "dump" => with_limits(|limits| cmd_dump(rest, limits)),
         "compare" => cmd_compare(rest),
-        "serve" => cmd_serve(rest),
-        "trace" => cmd_trace(rest),
+        "serve" => with_limits(|limits| cmd_serve(rest, limits)),
+        "trace" => with_limits(|limits| cmd_trace(rest, limits)),
         "run" => cmd_run(rest),
         "cps" => cmd_cps(rest),
-        "dot" => cmd_dot(rest),
-        "fj" => cmd_fj(rest),
+        "dot" => with_limits(|limits| cmd_dot(rest, limits)),
+        "fj" => with_limits(|limits| cmd_fj(rest, limits)),
         "fj-run" => cmd_fj_run(rest),
-        "fj-dot" => cmd_fj_dot(rest),
-        "fj-datalog" => cmd_fj_datalog(rest),
+        "fj-dot" => with_limits(|limits| cmd_fj_dot(rest, limits)),
+        "fj-datalog" => with_limits(|limits| cmd_fj_datalog(rest, limits)),
         "fj-gc" => cmd_fj_gc(rest),
         _ => usage(),
     }
 }
 
 /// `cfa dot FILE.scm` — print the 1-CFA call graph as Graphviz dot.
-fn cmd_dot(args: &[String]) -> ExitCode {
+fn cmd_dot(args: &[String], limits: &EngineLimits) -> ExitCode {
     let [file] = args else { return usage() };
     let src = match read_file(file) {
         Ok(s) => s,
@@ -124,7 +136,7 @@ fn cmd_dot(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = cfa_core::analyze_kcfa(&program, 1, run_limits());
+    let result = cfa_core::analyze_kcfa(&program, 1, limits.clone());
     // An interrupted analysis would render a partial (misleading)
     // graph; fail with the status's exit code instead.
     if let Err(code) = check_status(&result.metrics.status) {
@@ -167,7 +179,7 @@ fn print_metrics(m: &cfa_core::Metrics) {
     println!("  result:       {{{}}}", values.join(", "));
 }
 
-fn cmd_analyze(args: &[String]) -> ExitCode {
+fn cmd_analyze(args: &[String], limits: &EngineLimits) -> ExitCode {
     let mut analyses: Vec<Analysis> = Vec::new();
     let mut file = None;
     let mut report = false;
@@ -230,21 +242,21 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             let opts = cfa_core::report::ReportOptions::default();
             let (text, status) = match analysis {
                 Analysis::KCfa { k } => {
-                    let r = cfa_core::analyze_kcfa(&program, k, run_limits());
+                    let r = cfa_core::analyze_kcfa(&program, k, limits.clone());
                     (
                         cfa_core::report::report_kcfa(&program, &r, opts),
                         r.metrics.status,
                     )
                 }
                 Analysis::MCfa { m } => {
-                    let r = cfa_core::analyze_mcfa(&program, m, run_limits());
+                    let r = cfa_core::analyze_mcfa(&program, m, limits.clone());
                     (
                         cfa_core::report::report_flat(&program, &r, opts),
                         r.metrics.status,
                     )
                 }
                 Analysis::PolyKCfa { k } => {
-                    let r = cfa_core::analyze_poly_kcfa(&program, k, run_limits());
+                    let r = cfa_core::analyze_poly_kcfa(&program, k, limits.clone());
                     (
                         cfa_core::report::report_flat(&program, &r, opts),
                         r.metrics.status,
@@ -256,7 +268,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
                 return code;
             }
         } else {
-            let m = cfa_core::analyze(&program, analysis, run_limits());
+            let m = cfa_core::analyze(&program, analysis, limits.clone());
             print_metrics(&m);
             println!();
             // The metrics above already name the status; the exit code
@@ -272,7 +284,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
 /// `cfa races [--kcfa K | --mcfa M | --poly K] [--json] FILE.scm` —
 /// run the static race detector over the chosen abstract-thread
 /// analysis (default `--kcfa 1`) and print the report as text or JSON.
-fn cmd_races(args: &[String]) -> ExitCode {
+fn cmd_races(args: &[String], limits: &EngineLimits) -> ExitCode {
     let mut analysis = Analysis::KCfa { k: 1 };
     let mut json = false;
     let mut file = None;
@@ -321,15 +333,15 @@ fn cmd_races(args: &[String]) -> ExitCode {
     // of computing a partial report only to discard it.
     let report = match analysis {
         Analysis::KCfa { k } => {
-            let r = cfa_core::analyze_kcfa(&program, k, run_limits());
+            let r = cfa_core::analyze_kcfa(&program, k, limits.clone());
             check_status(&r.metrics.status).map(|()| cfa_core::races_kcfa(&program, k, &r.fixpoint))
         }
         Analysis::MCfa { m } => {
-            let r = cfa_core::analyze_mcfa(&program, m, run_limits());
+            let r = cfa_core::analyze_mcfa(&program, m, limits.clone());
             check_status(&r.metrics.status).map(|()| cfa_core::races_mcfa(&program, m, &r.fixpoint))
         }
         Analysis::PolyKCfa { k } => {
-            let r = cfa_core::analyze_poly_kcfa(&program, k, run_limits());
+            let r = cfa_core::analyze_poly_kcfa(&program, k, limits.clone());
             check_status(&r.metrics.status)
                 .map(|()| cfa_core::races_poly_kcfa(&program, k, &r.fixpoint))
         }
@@ -356,6 +368,7 @@ fn dump_snapshot(
     backend: &str,
     mode: cfa_core::EvalMode,
     threads: usize,
+    limits: &EngineLimits,
 ) -> Result<cfa_core::CanonSnapshot, ExitCode> {
     use cfa_core::engine::run_fixpoint_with;
     use cfa_core::flatcfa::{FlatCfaMachine, FlatPolicy};
@@ -377,16 +390,16 @@ fn dump_snapshot(
         Analysis::KCfa { k } => {
             let mut machine = KCfaMachine::new(program, k);
             if backend == "reference" {
-                let r = run_fixpoint_reference(&mut machine, run_limits());
+                let r = run_fixpoint_reference(&mut machine, limits.clone());
                 check_status(&r.status)?;
                 return Ok(cfa_core::canon_kcfa_ref(program, k, &r).expect(canonical));
             }
             let r = match backend {
-                "sequential" => run_fixpoint_with(&mut machine, run_limits(), mode),
+                "sequential" => run_fixpoint_with(&mut machine, limits.clone(), mode),
                 "sharded" => run_fixpoint_parallel_on::<cfa_core::Sharded, _>(
                     &mut machine,
                     threads,
-                    run_limits(),
+                    limits.clone(),
                     mode,
                 ),
                 _ => return Err(bad_backend()),
@@ -405,7 +418,7 @@ fn dump_snapshot(
             };
             let mut machine = FlatCfaMachine::new(program, bound, policy);
             if backend == "reference" {
-                let r = run_fixpoint_reference(&mut machine, run_limits());
+                let r = run_fixpoint_reference(&mut machine, limits.clone());
                 check_status(&r.status)?;
                 let snap = match analysis {
                     Analysis::MCfa { .. } => cfa_core::canon_mcfa_ref(program, bound, &r),
@@ -414,11 +427,11 @@ fn dump_snapshot(
                 return Ok(snap.expect(canonical));
             }
             let r = match backend {
-                "sequential" => run_fixpoint_with(&mut machine, run_limits(), mode),
+                "sequential" => run_fixpoint_with(&mut machine, limits.clone(), mode),
                 "sharded" => run_fixpoint_parallel_on::<cfa_core::Sharded, _>(
                     &mut machine,
                     threads,
-                    run_limits(),
+                    limits.clone(),
                     mode,
                 ),
                 _ => return Err(bad_backend()),
@@ -436,7 +449,7 @@ fn dump_snapshot(
 /// (stdout by default). Two dumps of the same program and analysis
 /// must be byte-identical no matter which backend, mode, or thread
 /// count produced them.
-fn cmd_dump(args: &[String]) -> ExitCode {
+fn cmd_dump(args: &[String], limits: &EngineLimits) -> ExitCode {
     let mut analysis = Analysis::KCfa { k: 1 };
     let mut backend = "sequential".to_owned();
     let mut mode = cfa_core::EvalMode::SemiNaive;
@@ -506,7 +519,7 @@ fn cmd_dump(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let snapshot = match dump_snapshot(&program, analysis, &backend, mode, threads) {
+    let snapshot = match dump_snapshot(&program, analysis, &backend, mode, threads, limits) {
         Ok(s) => s,
         Err(code) => return code,
     };
@@ -626,18 +639,21 @@ fn cmd_compare(args: &[String]) -> ExitCode {
 /// A malformed request, a program that does not compile, or an
 /// analysis stopped early (timeout, iteration limit, fault) answers
 /// `err N <reason>` — the server keeps serving.
-fn cmd_serve(args: &[String]) -> ExitCode {
+fn cmd_serve(args: &[String], limits: &EngineLimits) -> ExitCode {
     if !args.is_empty() {
         return usage();
     }
-    run_serve()
+    match cfa_core::PoolConfig::try_from_env() {
+        Ok(config) => run_serve(config, limits),
+        Err(e) => bad_knob(&e),
+    }
 }
 
 /// `cfa trace [--out FILE] [--kcfa K] [--threads N] FILE.scm` — run one
 /// sharded k-CFA fixpoint with full tracing forced on, write the merged
 /// per-worker event rings as Chrome `trace_event` JSON (loadable in
 /// `chrome://tracing` / Perfetto), and print the derived phase profile.
-fn cmd_trace(args: &[String]) -> ExitCode {
+fn cmd_trace(args: &[String], limits: &EngineLimits) -> ExitCode {
     let mut out_path = "profile.json".to_owned();
     let mut k = 1usize;
     let mut threads = 2usize;
@@ -681,7 +697,7 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut limits = run_limits();
+    let mut limits = limits.clone();
     limits.trace = cfa_core::TraceConfig::full();
     let mut machine = cfa_core::kcfa::KCfaMachine::new(&program, k);
     let result = cfa_core::run_fixpoint_parallel_on::<cfa_core::Sharded, _>(
@@ -729,11 +745,11 @@ enum PendingReply {
     Stats(String),
 }
 
-fn run_serve() -> ExitCode {
+fn run_serve(config: cfa_core::PoolConfig, limits: &EngineLimits) -> ExitCode {
     use std::io::BufRead as _;
     use std::io::Write as _;
 
-    let pool = cfa_core::AnalysisPool::new(cfa_core::PoolConfig::from_env());
+    let pool = cfa_core::AnalysisPool::new(config);
     let stdin = std::io::stdin().lock();
     let mut lines = stdin.lines();
     let mut pending: std::collections::VecDeque<(u64, PendingReply)> =
@@ -821,7 +837,7 @@ fn run_serve() -> ExitCode {
         }
         let id = next_id;
         next_id += 1;
-        let reply = parse_serve_request(&pool, &header, &source);
+        let reply = parse_serve_request(&pool, &header, &source, limits);
         pending.push_back((id, reply));
         // Opportunistically flush any responses that are already done,
         // preserving request order.
@@ -848,7 +864,12 @@ fn run_serve() -> ExitCode {
 
 /// Parses one `serve` header + body into a submitted job (or an
 /// in-line error). Headers are `callgraph k=N` / `races k=N`.
-fn parse_serve_request(pool: &cfa_core::AnalysisPool, header: &str, source: &str) -> PendingReply {
+fn parse_serve_request(
+    pool: &cfa_core::AnalysisPool,
+    header: &str,
+    source: &str,
+    limits: &EngineLimits,
+) -> PendingReply {
     let mut parts = header.split_whitespace();
     let kind = match parts.next() {
         Some("callgraph") => QueryKind::Callgraph,
@@ -876,7 +897,7 @@ fn parse_serve_request(pool: &cfa_core::AnalysisPool, header: &str, source: &str
         pool,
         std::sync::Arc::clone(&program),
         k,
-        run_limits(),
+        limits.clone(),
     );
     PendingReply::Job {
         kind,
@@ -922,7 +943,7 @@ fn cmd_cps(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_fj(args: &[String]) -> ExitCode {
+fn cmd_fj(args: &[String], limits: &EngineLimits) -> ExitCode {
     let mut k = 1usize;
     let mut policy = cfa_fj::TickPolicy::OnInvocation;
     let mut file = None;
@@ -967,7 +988,7 @@ fn cmd_fj(args: &[String]) -> ExitCode {
         policy,
         cast_filtering: false,
     };
-    let r = cfa_fj::analyze_fj(&program, options, run_limits());
+    let r = cfa_fj::analyze_fj(&program, options, limits.clone());
     let m = &r.metrics;
     println!("{program}");
     println!("== {} ==", m.analysis);
@@ -1053,7 +1074,7 @@ fn load_fj(file: &str) -> Result<cfa_fj::FjProgram, ExitCode> {
 }
 
 /// `cfa fj-dot [--k K] FILE.java` — method-level call graph as dot.
-fn cmd_fj_dot(args: &[String]) -> ExitCode {
+fn cmd_fj_dot(args: &[String], limits: &EngineLimits) -> ExitCode {
     let (k, file) = match parse_k_and_file(args) {
         Ok(v) => v,
         Err(code) => return code,
@@ -1062,7 +1083,7 @@ fn cmd_fj_dot(args: &[String]) -> ExitCode {
         Ok(p) => p,
         Err(code) => return code,
     };
-    let r = cfa_fj::analyze_fj(&program, cfa_fj::FjAnalysisOptions::oo(k), run_limits());
+    let r = cfa_fj::analyze_fj(&program, cfa_fj::FjAnalysisOptions::oo(k), limits.clone());
     if let Err(code) = check_status(&r.metrics.status) {
         return code;
     }
@@ -1073,7 +1094,7 @@ fn cmd_fj_dot(args: &[String]) -> ExitCode {
 
 /// `cfa fj-datalog [--k K] FILE.java` — run the Datalog points-to
 /// analysis and report agreement with the abstract machine.
-fn cmd_fj_datalog(args: &[String]) -> ExitCode {
+fn cmd_fj_datalog(args: &[String], limits: &EngineLimits) -> ExitCode {
     let (k, file) = match parse_k_and_file(args) {
         Ok(v) => v,
         Err(code) => return code,
@@ -1087,7 +1108,7 @@ fn cmd_fj_datalog(args: &[String]) -> ExitCode {
         Err(code) => return code,
     };
     let d = cfa_fj::analyze_fj_datalog(&program, cfa_fj::FjDatalogOptions::sensitive(k));
-    let machine = cfa_fj::analyze_fj(&program, cfa_fj::FjAnalysisOptions::oo(k), run_limits());
+    let machine = cfa_fj::analyze_fj(&program, cfa_fj::FjAnalysisOptions::oo(k), limits.clone());
     // A partial machine run would spuriously disagree with the Datalog
     // fixpoint; surface the early stop instead.
     if let Err(code) = check_status(&machine.metrics.status) {

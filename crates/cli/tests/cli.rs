@@ -421,6 +421,76 @@ fn serve_answers_stats_with_pool_gauges() {
     assert!(stats_line.ends_with('}'), "{stats_line}");
 }
 
+/// Asserts a malformed-knob exit: code 2 and one `cfa:` line naming
+/// the variable, with no panic report.
+fn assert_bad_knob_exit(out: &std::process::Output, var: &str) {
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.starts_with(&format!("cfa: {var}=")), "{err}");
+}
+
+#[test]
+fn malformed_knobs_exit_2_with_one_line() {
+    let file = write_temp("knob.scm", "(define (id x) x) (id 42)");
+    for (command, var, value) in [
+        ("dump", "CFA_MAX_ITERS", "abc"),
+        ("dump", "CFA_TIME_BUDGET_MS", "-1"),
+        ("dump", "CFA_FAULT_PLAN", "boom"),
+        ("races", "CFA_TRACE", "verbose"),
+    ] {
+        let out = cfa()
+            .arg(command)
+            .arg(&file)
+            .env(var, value)
+            .output()
+            .unwrap();
+        assert_bad_knob_exit(&out, var);
+    }
+    let out = cfa()
+        .arg("dump")
+        .arg(&file)
+        .env("CFA_MAX_ITERS", "abc")
+        .output()
+        .unwrap();
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).trim_end(),
+        "cfa: CFA_MAX_ITERS=\"abc\": invalid digit found in string"
+    );
+}
+
+#[test]
+fn serve_rejects_malformed_knobs_before_reading_stdin() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    for (var, value) in [("CFA_POOL_THREADS", "two"), ("CFA_MAX_ITERS", "abc")] {
+        let mut child = cfa()
+            .arg("serve")
+            .env(var, value)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        // Stdin stays open and empty: a server that read it first would
+        // block here instead of exiting.
+        let stdin = child.stdin.take().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while child.try_wait().unwrap().is_none() {
+            if Instant::now() > deadline {
+                child.kill().unwrap();
+                panic!("cfa serve with {var}={value:?} waited for stdin");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        drop(stdin);
+        let out = child.wait_with_output().unwrap();
+        assert_bad_knob_exit(&out, var);
+        assert!(out.stdout.is_empty(), "{out:?}");
+    }
+}
+
 #[test]
 fn dump_is_engine_invariant_and_compare_agrees() {
     let file = write_temp("dump.scm", JOINED_SCHEME);

@@ -93,6 +93,12 @@ pub trait AbstractMachine {
         store: &mut TrackedStore<'_, Self::Addr, Self::Val>,
         out: &mut Vec<Self::Config>,
     );
+
+    /// Drops state that only speeds up [`AbstractMachine::step`]. The
+    /// private-store worker calls it when its run is over, so a finished
+    /// machine kept for its metrics (a pooled result waits for its
+    /// in-order reply) holds no more than those. Default: nothing.
+    fn release_caches(&mut self) {}
 }
 
 /// A borrowed machine is a machine: the sequential entry points drive
@@ -119,6 +125,10 @@ impl<M: AbstractMachine> AbstractMachine for &mut M {
         out: &mut Vec<Self::Config>,
     ) {
         (**self).step(config, store, out);
+    }
+
+    fn release_caches(&mut self) {
+        (**self).release_caches();
     }
 }
 
@@ -623,31 +633,44 @@ impl EngineLimits {
     /// exactly like an external [`CancelToken`]), and `CFA_TRACE`
     /// (`off` / `counters` / `full` — see
     /// [`crate::telemetry::TraceConfig::parse`]). Unset variables leave
-    /// the default (unbounded, tracing off); a malformed value panics
-    /// with the offending text, since silently ignoring an operator's
-    /// budget would be worse.
-    pub fn from_env() -> Self {
+    /// the default (unbounded, tracing off); a malformed value is an
+    /// error naming the variable and its text, since silently ignoring
+    /// an operator's budget would be worse.
+    pub fn try_from_env() -> Result<Self, String> {
         let mut limits = Self::default();
-        if let Ok(v) = std::env::var("CFA_MAX_ITERS") {
-            limits.max_iterations = v
-                .parse()
-                .unwrap_or_else(|e| panic!("CFA_MAX_ITERS={v:?}: {e}"));
+        if let Some(n) = env_knob("CFA_MAX_ITERS", str::parse::<u64>)? {
+            limits.max_iterations = n;
         }
-        if let Ok(v) = std::env::var("CFA_TIME_BUDGET_MS") {
-            let ms: u64 = v
-                .parse()
-                .unwrap_or_else(|e| panic!("CFA_TIME_BUDGET_MS={v:?}: {e}"));
+        if let Some(ms) = env_knob("CFA_TIME_BUDGET_MS", str::parse::<u64>)? {
             limits.time_budget = Some(Duration::from_millis(ms));
         }
-        if let Ok(v) = std::env::var("CFA_FAULT_PLAN") {
-            let plan = crate::fabric::FaultPlan::parse(&v)
-                .unwrap_or_else(|e| panic!("CFA_FAULT_PLAN={v:?}: {e}"));
+        if let Some(plan) = env_knob("CFA_FAULT_PLAN", crate::fabric::FaultPlan::parse)? {
             limits.fault_plan = Some(std::sync::Arc::new(plan));
         }
-        if let Ok(v) = std::env::var("CFA_TRACE") {
-            limits.trace = crate::telemetry::TraceConfig::parse(&v);
+        if let Some(trace) = env_knob("CFA_TRACE", crate::telemetry::TraceConfig::try_parse)? {
+            limits.trace = trace;
         }
-        limits
+        Ok(limits)
+    }
+
+    /// [`EngineLimits::try_from_env`], panicking with its error.
+    pub fn from_env() -> Self {
+        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// Reads the environment variable `name` through `parse`: `None` when
+/// it is unset, and an error naming the variable and its text when
+/// `parse` rejects it.
+pub(crate) fn env_knob<T, E: std::fmt::Display>(
+    name: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<Option<T>, String> {
+    match std::env::var(name) {
+        Ok(v) => parse(&v)
+            .map(Some)
+            .map_err(|e| format!("{name}={v:?}: {e}")),
+        Err(_) => Ok(None),
     }
 }
 
@@ -886,7 +909,7 @@ impl<M: AbstractMachine> SoloWorker<M> {
     /// totals: the machine comes back as is, and the store *is* the
     /// fixpoint, moved out as is.
     pub(crate) fn into_result(
-        self,
+        mut self,
         status: Status,
         totals: WorkerTotals,
         elapsed: Duration,
@@ -902,6 +925,7 @@ impl<M: AbstractMachine> SoloWorker<M> {
             trace,
         } = totals;
         sched.store_resident_bytes = self.store.approx_bytes() as u64;
+        self.machine.release_caches();
         let fixpoint = FixpointResult {
             configs: self.configs,
             store: self.store,

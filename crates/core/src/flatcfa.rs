@@ -31,14 +31,15 @@ use crate::domain::{AVal, AbsBasic, CallString};
 use crate::engine::{
     run_fixpoint, AbstractMachine, DeltaFlow, EngineLimits, FixpointResult, TrackedStore,
 };
+use crate::fxhash::FxHashMap;
 use crate::kcfa::{build_metrics, render_val};
 use crate::prim::{classify, PrimSpec};
 use crate::reference::{RefTrackedStore, ReferenceMachine};
-use crate::results::Metrics;
+use crate::results::{MetricSets, Metrics};
 use crate::store::{Flow, FlowSet};
 use cfa_concrete::base::Slot;
 use cfa_syntax::cps::{AExp, CallId, CallKind, CpsProgram, Label, LamId, LamSort};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// A flat-environment abstract address: slot × abstract environment.
@@ -85,7 +86,7 @@ pub struct FlatCfaMachine<'p> {
     program: crate::ProgramSource<'p>,
     bound: usize,
     policy: FlatPolicy,
-    operator_flows: HashMap<CallId, (BTreeSet<LamId>, bool)>,
+    operator_flows: FxHashMap<CallId, (BTreeSet<LamId>, bool)>,
     lam_entry_envs: Vec<(LamId, CallString)>,
     halt_values: BTreeSet<ValM>,
 }
@@ -113,10 +114,19 @@ impl<'p> FlatCfaMachine<'p> {
             program,
             bound,
             policy,
-            operator_flows: HashMap::new(),
+            operator_flows: FxHashMap::default(),
             lam_entry_envs: Vec::new(),
             halt_values: BTreeSet::new(),
         }
+    }
+
+    /// The sets this machine's [`Metrics`] are built from.
+    pub fn metric_sets(&self) -> MetricSets<CallString, ValM> {
+        MetricSets::collect(
+            &self.operator_flows,
+            &self.lam_entry_envs,
+            &self.halt_values,
+        )
     }
 
     /// Bound on the abstract thread-id string. At least 1 even for
@@ -172,7 +182,8 @@ impl<'p> FlatCfaMachine<'p> {
     /// *deltas*; their successor configuration was pushed before. The
     /// free-variable sources are still read for every closure — the
     /// reads are this configuration's dependency set, and a dropped
-    /// read would silence future wakeups.
+    /// read would silence future wakeups. Call targets are recorded for
+    /// new closures only: the previous evaluation recorded the rest.
     fn apply(
         &mut self,
         site: CallId,
@@ -188,13 +199,14 @@ impl<'p> FlatCfaMachine<'p> {
         let bound = self.bound;
         let flows = self.operator_flows.entry(site).or_default();
         for fid in fset.all.iter() {
+            let is_new = fset.is_new(fid);
             if let AVal::RetK { ret } = store.val(fid) {
                 // A thread-return continuation: the abstract thread
                 // halts here, delivering its result into the thread's
                 // result address (no successor configuration).
                 let ret = ret.clone();
                 if let [a] = args {
-                    if fset.is_new(fid) {
+                    if is_new {
                         store.join_flow(&ret, &a.all);
                     } else if a.has_new() {
                         store.join_flow(&ret, &a.new);
@@ -206,16 +218,17 @@ impl<'p> FlatCfaMachine<'p> {
             let (lam, saved) = match store.val(fid) {
                 AVal::Clo { lam, env } => (*lam, env.clone()),
                 _ => {
-                    flows.1 = true;
+                    flows.1 |= is_new;
                     continue;
                 }
             };
-            flows.0.insert(lam);
+            if is_new {
+                flows.0.insert(lam);
+            }
             let lam_data = self.program.lam(lam);
             if lam_data.params.len() != args.len() {
                 continue;
             }
-            let is_new = fset.is_new(fid);
             // n̂ew(call, ρ̂, lam, ρ̂′), inlined from `new_env`.
             let fresh = match policy {
                 FlatPolicy::TopMFrames => match lam_data.sort {

@@ -27,15 +27,16 @@ use crate::domain::{AVal, AbsBasic, CallString};
 use crate::engine::{
     run_fixpoint, AbstractMachine, DeltaFlow, EngineLimits, FixpointResult, TrackedStore,
 };
-use crate::fxhash::FxHashSet;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::prim::{classify, PrimSpec};
 use crate::reference::{RefTrackedStore, ReferenceMachine};
-use crate::results::Metrics;
+use crate::results::{MetricSets, Metrics};
 use crate::store::{Flow, FlowSet};
 use cfa_concrete::base::Slot;
 use cfa_syntax::cps::{AExp, CallId, CallKind, CpsProgram, LamId, LamSort};
 use cfa_syntax::intern::Symbol;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A k-CFA abstract address: slot × abstract time (`Var × Callᵏ`).
@@ -146,6 +147,12 @@ impl BEnvK {
         Self::from_items(v)
     }
 
+    /// The identity of the binding vector: equal for two handles on one
+    /// allocation, and unique among live allocations.
+    fn id(&self) -> usize {
+        Arc::as_ptr(&self.items) as usize
+    }
+
     /// Iterates over the bindings in symbol order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &AddrK)> {
         self.items.iter().map(|(s, a)| (*s, a))
@@ -187,18 +194,83 @@ pub struct KCfaMachine<'p> {
     program: crate::ProgramSource<'p>,
     k: usize,
     /// Per call site: operator λ-flow and whether a non-closure flowed.
-    operator_flows: HashMap<CallId, (BTreeSet<LamId>, bool)>,
-    /// Log of (λ, entry environment) pairs; deduplicated once when
-    /// metrics are built (a hot-path set insert per application was the
-    /// single largest cost in the profile).
+    operator_flows: FxHashMap<CallId, (BTreeSet<LamId>, bool)>,
+    /// Log of (λ, entry environment) pairs, one per entry environment
+    /// the machine builds; deduplicated once when metrics are built (a
+    /// hot-path set insert per application was the single largest cost
+    /// in the profile).
     lam_entry_envs: Vec<(LamId, BEnvK)>,
     /// Values reaching `%halt`.
     halt_values: BTreeSet<ValK>,
+    /// The interned-engine path's environment constructors, memoized;
+    /// the reference path builds every environment afresh.
+    envs: EnvCache,
+}
+
+/// Memoized environment construction for the interned-engine path.
+///
+/// k-CFA's cost is its environments: a λ-atom restricts the current
+/// environment and a new closure's application extends one, and each
+/// fresh build copies and hashes a binding vector. Built environments
+/// are hash-consed in `pool`, so each structure has one canonical
+/// binding vector, and both constructors become functions of that
+/// vector's *identity*: a hit hashes a pointer and a small key, and
+/// copies and hashes no binding. Each entry holds its key environment,
+/// so the pointer it is keyed by cannot be freed and reused while the
+/// entry lives.
+#[derive(Debug, Default)]
+struct EnvCache {
     /// Hash-consed environments: structurally equal environments share
     /// one `Arc`, so equality checks on the hot path are pointer
-    /// comparisons. Only the interned-engine path canonicalizes; the
-    /// reference path keeps the original allocation behavior.
-    env_pool: FxHashSet<BEnvK>,
+    /// comparisons.
+    pool: FxHashSet<BEnvK>,
+    /// `(env, λ)` → `env` restricted to λ's free variables.
+    captured: FxHashMap<(usize, LamId), (BEnvK, BEnvK)>,
+    /// `(closure env, λ, time)` → the environment λ's body runs in.
+    entry: FxHashMap<(usize, LamId, CallString), (BEnvK, BEnvK)>,
+}
+
+impl EnvCache {
+    /// What a λ-atom evaluated in `env` captures.
+    fn captured(&mut self, env: &BEnvK, lam: LamId, free_vars: &[Symbol]) -> BEnvK {
+        match self.captured.entry((env.id(), lam)) {
+            Entry::Occupied(hit) => hit.get().1.clone(),
+            Entry::Vacant(slot) => {
+                let captured = canon_env(&mut self.pool, env.restrict(free_vars));
+                slot.insert((env.clone(), captured.clone()));
+                captured
+            }
+        }
+    }
+
+    /// The environment a closure `(λ, env)` applied at `time` enters:
+    /// `env` extended with λ's `params` bound at `time`. The flag is set
+    /// when this call built it — the first time this machine saw the key.
+    fn entry(
+        &mut self,
+        env: &BEnvK,
+        lam: LamId,
+        params: &[Symbol],
+        time: &CallString,
+    ) -> (BEnvK, bool) {
+        match self.entry.entry((env.id(), lam, time.clone())) {
+            Entry::Occupied(hit) => (hit.get().1.clone(), false),
+            Entry::Vacant(slot) => {
+                let bindings = params.iter().map(|&p| {
+                    (
+                        p,
+                        AddrK {
+                            slot: Slot::Var(p),
+                            time: time.clone(),
+                        },
+                    )
+                });
+                let extended = canon_env(&mut self.pool, env.extend(bindings));
+                slot.insert((env.clone(), extended.clone()));
+                (extended, true)
+            }
+        }
+    }
 }
 
 /// Returns the canonical (shared) copy of `env`, interning it on first
@@ -230,11 +302,20 @@ impl<'p> KCfaMachine<'p> {
         KCfaMachine {
             program,
             k,
-            operator_flows: HashMap::new(),
+            operator_flows: FxHashMap::default(),
             lam_entry_envs: Vec::new(),
             halt_values: BTreeSet::new(),
-            env_pool: FxHashSet::default(),
+            envs: EnvCache::default(),
         }
+    }
+
+    /// The sets this machine's [`Metrics`] are built from.
+    pub fn metric_sets(&self) -> MetricSets<BEnvK, ValK> {
+        MetricSets::collect(
+            &self.operator_flows,
+            &self.lam_entry_envs,
+            &self.halt_values,
+        )
     }
 
     fn tick(&self, label: cfa_syntax::cps::Label, time: &CallString) -> CallString {
@@ -279,10 +360,7 @@ impl<'p> KCfaMachine<'p> {
                 None => DeltaFlow::empty(),
             },
             AExp::Lam(l) => {
-                let captured = canon_env(
-                    &mut self.env_pool,
-                    benv.restrict(self.program.free_vars(*l)),
-                );
+                let captured = self.envs.captured(benv, *l, self.program.free_vars(*l));
                 DeltaFlow::constructed(
                     Flow::singleton(store.intern(AVal::Clo {
                         lam: *l,
@@ -303,7 +381,8 @@ impl<'p> KCfaMachine<'p> {
     /// its parameter joins, environment extension, and successor were
     /// all produced before, so `new f × all args ∪ old f × new args`
     /// covers every pair the full product would. Argument flows are
-    /// joined id-to-id ([`TrackedStore::join_flow`]).
+    /// joined id-to-id ([`TrackedStore::join_flow`]). Call targets are
+    /// recorded for new closures only, for the same reason.
     #[allow(clippy::too_many_arguments)]
     fn apply(
         &mut self,
@@ -317,6 +396,7 @@ impl<'p> KCfaMachine<'p> {
     ) {
         let flows = self.operator_flows.entry(site).or_default();
         for fid in fset.all.iter() {
+            let is_new = fset.is_new(fid);
             if let AVal::RetK { ret } = store.val(fid) {
                 // A thread-return continuation: the abstract thread
                 // halts here, delivering its result into the thread's
@@ -324,7 +404,7 @@ impl<'p> KCfaMachine<'p> {
                 // dependency tracker wakes any `%join` reading `ret`.
                 let ret = ret.clone();
                 if let [a] = args {
-                    if fset.is_new(fid) {
+                    if is_new {
                         store.join_flow(&ret, &a.all);
                     } else if a.has_new() {
                         store.join_flow(&ret, &a.new);
@@ -336,16 +416,18 @@ impl<'p> KCfaMachine<'p> {
             let lam = match store.val(fid) {
                 AVal::Clo { lam, .. } => *lam,
                 _ => {
-                    flows.1 = true;
+                    flows.1 |= is_new;
                     continue;
                 }
             };
-            flows.0.insert(lam);
+            if is_new {
+                flows.0.insert(lam);
+            }
             let lam_data = self.program.lam(lam);
             if lam_data.params.len() != args.len() {
                 continue;
             }
-            if !fset.is_new(fid) {
+            if !is_new {
                 // Already-applied closure: join only the argument
                 // growth into the (deterministic) parameter addresses.
                 for (&p, a) in lam_data.params.iter().zip(args) {
@@ -362,28 +444,22 @@ impl<'p> KCfaMachine<'p> {
                 store.note_delta_apply();
                 continue;
             }
-            let env = match store.val(fid) {
-                AVal::Clo { env, .. } => env.clone(),
+            let (extended, built) = match store.val(fid) {
+                AVal::Clo { env, .. } => self.envs.entry(env, lam, &lam_data.params, t_new),
                 _ => unreachable!("checked above"),
             };
-            let bindings: Vec<(Symbol, AddrK)> = lam_data
-                .params
-                .iter()
-                .map(|&p| {
-                    (
-                        p,
-                        AddrK {
-                            slot: Slot::Var(p),
-                            time: t_new.clone(),
-                        },
-                    )
-                })
-                .collect();
-            for ((_, addr), values) in bindings.iter().zip(args) {
-                store.join_flow(addr, &values.all);
+            for (&p, values) in lam_data.params.iter().zip(args) {
+                store.join_flow(
+                    &AddrK {
+                        slot: Slot::Var(p),
+                        time: t_new.clone(),
+                    },
+                    &values.all,
+                );
             }
-            let extended = canon_env(&mut self.env_pool, env.extend(bindings));
-            self.lam_entry_envs.push((lam, extended.clone()));
+            if built {
+                self.lam_entry_envs.push((lam, extended.clone()));
+            }
             out.push(KConfig {
                 call: lam_data.body,
                 benv: extended,
@@ -642,12 +718,12 @@ impl<'p> AbstractMachine for KCfaMachine<'p> {
                     })
                     .collect();
                 let extended = canon_env(
-                    &mut self.env_pool,
+                    &mut self.envs.pool,
                     config.benv.extend(addrs.iter().cloned()),
                 );
                 for ((_, lam), (_, addr)) in bindings.iter().zip(&addrs) {
                     let captured = canon_env(
-                        &mut self.env_pool,
+                        &mut self.envs.pool,
                         extended.restrict(self.program.free_vars(*lam)),
                     );
                     store.join(
@@ -741,6 +817,10 @@ impl<'p> AbstractMachine for KCfaMachine<'p> {
             }
         }
     }
+
+    fn release_caches(&mut self) {
+        self.envs = EnvCache::default();
+    }
 }
 
 impl<'p> crate::parallel::ParallelMachine for KCfaMachine<'p> {
@@ -756,8 +836,7 @@ impl<'p> crate::parallel::ParallelMachine for KCfaMachine<'p> {
         }
         self.lam_entry_envs.extend(worker.lam_entry_envs);
         self.halt_values.extend(worker.halt_values);
-        // `env_pool` is a worker-local hash-consing cache; nothing to
-        // keep.
+        // `envs` holds worker-local caches; nothing to keep.
     }
 }
 
@@ -1188,7 +1267,7 @@ pub(crate) fn build_metrics<C, A, E1, A1, E2>(
     analysis: String,
     program: &CpsProgram,
     fixpoint: &FixpointResult<C, A, AVal<E1, A1>>,
-    operator_flows: &HashMap<CallId, (BTreeSet<LamId>, bool)>,
+    operator_flows: &FxHashMap<CallId, (BTreeSet<LamId>, bool)>,
     lam_entry_envs: &[(LamId, E2)],
     halt_values: &BTreeSet<AVal<E1, A1>>,
 ) -> Metrics

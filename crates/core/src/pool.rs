@@ -109,21 +109,23 @@ impl Default for PoolConfig {
 impl PoolConfig {
     /// The default sizing overridden by the environment:
     /// `CFA_POOL_THREADS` (worker threads) and `CFA_POOL_QUEUE_DEPTH`
-    /// (admission bound). A malformed value panics with the offending
-    /// text — silently ignoring an operator's sizing would be worse.
-    pub fn from_env() -> Self {
+    /// (admission bound). A malformed value is an error naming the
+    /// variable and its text — silently ignoring an operator's sizing
+    /// would be worse.
+    pub fn try_from_env() -> Result<Self, String> {
         let mut cfg = Self::default();
-        if let Ok(v) = std::env::var("CFA_POOL_THREADS") {
-            cfg.threads = v
-                .parse()
-                .unwrap_or_else(|e| panic!("CFA_POOL_THREADS={v:?}: {e}"));
+        if let Some(n) = crate::engine::env_knob("CFA_POOL_THREADS", str::parse::<usize>)? {
+            cfg.threads = n;
         }
-        if let Ok(v) = std::env::var("CFA_POOL_QUEUE_DEPTH") {
-            cfg.queue_depth = v
-                .parse()
-                .unwrap_or_else(|e| panic!("CFA_POOL_QUEUE_DEPTH={v:?}: {e}"));
+        if let Some(n) = crate::engine::env_knob("CFA_POOL_QUEUE_DEPTH", str::parse::<usize>)? {
+            cfg.queue_depth = n;
         }
-        cfg
+        Ok(cfg)
+    }
+
+    /// [`PoolConfig::try_from_env`], panicking with its error.
+    pub fn from_env() -> Self {
+        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

@@ -12,6 +12,38 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::Duration;
 
+/// The sets a CPS machine accumulates while it runs, from which its
+/// [`Metrics`] are built, in a form two runs can be compared by: every
+/// engine path must produce the same sets for one program and analysis.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct MetricSets<E: Ord, V: Ord> {
+    /// Per call site: the λs applied there, and whether a non-closure
+    /// value reached the operator.
+    pub call_targets: BTreeMap<CallId, (BTreeSet<LamId>, bool)>,
+    /// The distinct `(λ, entry environment)` pairs.
+    pub entry_envs: BTreeSet<(LamId, E)>,
+    /// The values reaching `%halt`.
+    pub halt_values: BTreeSet<V>,
+}
+
+impl<E: Ord + Clone, V: Ord + Clone> MetricSets<E, V> {
+    /// Collects the sets from a machine's accumulators.
+    pub(crate) fn collect(
+        operator_flows: &crate::fxhash::FxHashMap<CallId, (BTreeSet<LamId>, bool)>,
+        lam_entry_envs: &[(LamId, E)],
+        halt_values: &BTreeSet<V>,
+    ) -> Self {
+        MetricSets {
+            call_targets: operator_flows
+                .iter()
+                .map(|(&site, flows)| (site, flows.clone()))
+                .collect(),
+            entry_envs: lam_entry_envs.iter().cloned().collect(),
+            halt_values: halt_values.clone(),
+        }
+    }
+}
+
 /// A cross-analysis summary of one run.
 #[derive(Clone, Debug)]
 pub struct Metrics {

@@ -91,11 +91,16 @@ impl TraceConfig {
     /// Panics on any other value — a malformed knob should fail loudly,
     /// not silently run untraced (matches the other `CFA_*` parsers).
     pub fn parse(value: &str) -> Self {
+        Self::try_parse(value).unwrap_or_else(|e| panic!("CFA_TRACE={value:?}: {e}"))
+    }
+
+    /// [`TraceConfig::parse`], with an error for any other value.
+    pub fn try_parse(value: &str) -> Result<Self, &'static str> {
         match value {
-            "off" => Self::off(),
-            "counters" => Self::counters(),
-            "full" => Self::full(),
-            other => panic!("CFA_TRACE={other:?}: expected off|counters|full"),
+            "off" => Ok(Self::off()),
+            "counters" => Ok(Self::counters()),
+            "full" => Ok(Self::full()),
+            _ => Err("expected off|counters|full"),
         }
     }
 }

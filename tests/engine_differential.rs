@@ -16,8 +16,17 @@
 //! Featherweight Java) and on randomized programs. The shared
 //! engine-quad runner lives in `cfa_testsupport`.
 
+use cfa::analysis::engine::{run_fixpoint_with, AbstractMachine, EngineLimits, EvalMode};
+use cfa::analysis::flatcfa::{FlatCfaMachine, FlatPolicy};
+use cfa::analysis::kcfa::KCfaMachine;
+use cfa::analysis::reference::{run_fixpoint_reference, ReferenceMachine};
+use cfa::analysis::{
+    run_fixpoint_parallel_on, AnalysisPool, ParallelMachine, PoolConfig, Replicated, Sharded,
+};
 use cfa_testsupport::{check_fj_program, check_scheme_program};
 use proptest::prelude::*;
+use std::fmt::Debug;
+use std::sync::Arc;
 
 /// Every Scheme program of the workloads suite, at every CPS analysis
 /// family. The two heavyweights are exercised at k = 0 only to keep the
@@ -66,6 +75,85 @@ fn concurrent_fixpoints_are_identical() {
     for (name, src) in cfa_testsupport::concurrent_scheme_corpus() {
         check_scheme_program(&src, &name, &[0, 1]);
     }
+}
+
+/// Runs fresh machines from `mk` through every engine path that fills
+/// the machine-side metric accumulators — the reference engine, the
+/// sequential engine in both modes, sharded@2 (after `absorb`) and a
+/// pool tenant — and asserts `sets` reads the same from each.
+fn assert_metric_sets_agree<M, S>(
+    label: &str,
+    pool: &AnalysisPool,
+    mk: impl Fn() -> M,
+    sets: impl Fn(&M) -> S,
+) where
+    M: ParallelMachine + ReferenceMachine + 'static,
+    <M as AbstractMachine>::Config: Send + Sync,
+    <M as AbstractMachine>::Addr: Send + Sync + Ord,
+    <M as AbstractMachine>::Val: Send + Sync,
+    S: PartialEq + Debug,
+{
+    let limits = EngineLimits::default;
+    let mut reference = mk();
+    let r = run_fixpoint_reference(&mut reference, limits());
+    assert!(r.status.is_complete(), "{label}: reference incomplete");
+    let expected = sets(&reference);
+    for mode in [EvalMode::SemiNaive, EvalMode::FullReeval] {
+        let mut machine = mk();
+        let r = run_fixpoint_with(&mut machine, limits(), mode);
+        assert!(r.status.is_complete(), "{label}: sequential {mode:?}");
+        assert_eq!(sets(&machine), expected, "{label}: sequential {mode:?}");
+    }
+    let mut machine = mk();
+    let r = run_fixpoint_parallel_on::<Sharded, _>(&mut machine, 2, limits(), EvalMode::SemiNaive);
+    assert!(r.status.is_complete(), "{label}: sharded@2");
+    assert_eq!(sets(&machine), expected, "{label}: sharded@2");
+    let run = pool
+        .submit::<Replicated, _>(mk(), limits(), EvalMode::SemiNaive)
+        .wait();
+    assert!(run.fixpoint.status.is_complete(), "{label}: pool tenant");
+    assert_eq!(sets(&run.machine), expected, "{label}: pool tenant");
+}
+
+/// The sets behind `Metrics` — call targets per site with the
+/// saw-a-non-closure flag, the distinct `(λ, entry environment)` pairs,
+/// and the halt values — agree across engine paths for every CPS
+/// analysis family on the suite and the extended suite. These sets are
+/// written on the machine side, where the engines differ: the
+/// interned paths record call targets for new closures only and log an
+/// entry environment only when the machine first builds it.
+#[test]
+fn metric_sets_agree_across_engine_paths() {
+    let pool = AnalysisPool::new(PoolConfig {
+        threads: 1,
+        ..PoolConfig::default()
+    });
+    let programs = cfa::workloads::suite()
+        .into_iter()
+        .chain(cfa::workloads::extended_suite());
+    for prog in programs {
+        let p = Arc::new(cfa::compile(prog.source).expect("suite compiles"));
+        for bound in 0..=2usize {
+            assert_metric_sets_agree(
+                &format!("{} k-CFA k={bound}", prog.name),
+                &pool,
+                || KCfaMachine::new_owned(Arc::clone(&p), bound),
+                KCfaMachine::metric_sets,
+            );
+            for (policy, tag) in [
+                (FlatPolicy::TopMFrames, "m-CFA"),
+                (FlatPolicy::LastKCalls, "poly-k"),
+            ] {
+                assert_metric_sets_agree(
+                    &format!("{} {tag} bound={bound}", prog.name),
+                    &pool,
+                    || FlatCfaMachine::new_owned(Arc::clone(&p), bound, policy),
+                    FlatCfaMachine::metric_sets,
+                );
+            }
+        }
+    }
+    pool.shutdown();
 }
 
 proptest! {
