@@ -34,7 +34,9 @@
 
 use cfa_core::engine::{EngineLimits, Status};
 use cfa_core::Analysis;
+use std::collections::VecDeque;
 use std::process::ExitCode;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -622,23 +624,29 @@ fn cmd_compare(args: &[String]) -> ExitCode {
 /// .
 /// ```
 ///
-/// Every request is submitted to one long-lived [`AnalysisPool`]
-/// (sized by `CFA_POOL_THREADS` / `CFA_POOL_QUEUE_DEPTH`) as soon as
-/// its terminator is read, so queries analyze concurrently, each in a
-/// tenant with a private store; responses
-/// are printed in request order, each as an `ok N ...` or `err N ...`
-/// header followed by the payload and a lone `.`:
+/// A framing thread reads stdin; the serve loop ([`serve_loop`]) submits
+/// every request to one long-lived [`AnalysisPool`] (sized by
+/// `CFA_POOL_THREADS` / `CFA_POOL_QUEUE_DEPTH`) as soon as its
+/// terminator is read, so queries analyze concurrently, each in a
+/// tenant with a private store. Responses are printed in request order,
+/// each the moment it and every earlier response are ready — a client
+/// may wait for each reply before sending its next request — as an
+/// `ok N ...` or `err N ...` header followed by the payload and a lone
+/// `.`:
 ///
 /// * `callgraph` answers `ok N callgraph sites=S edges=E` and the
 ///   1-CFA-style call graph in Graphviz dot;
 /// * `races` answers `ok N races count=R` and the race report JSON;
 /// * `stats` (empty body) answers `ok N stats` and one line of JSON
 ///   with the pool's live gauges and lifetime counters
-///   ([`cfa_core::PoolMetrics`]), snapshotted when the request is read.
+///   ([`cfa_core::PoolMetrics`]), snapshotted when the request is
+///   admitted.
 ///
-/// A malformed request, a program that does not compile, or an
-/// analysis stopped early (timeout, iteration limit, fault) answers
-/// `err N <reason>` — the server keeps serving.
+/// A malformed request, a request that is not UTF-8 or that EOF cuts
+/// off before its `.`, a program that does not compile, or an analysis
+/// stopped early (timeout, iteration limit, fault) answers
+/// `err N <reason>` — the server keeps serving. At EOF it answers every
+/// request still in flight, then exits.
 fn cmd_serve(args: &[String], limits: &EngineLimits) -> ExitCode {
     if !args.is_empty() {
         return usage();
@@ -730,136 +738,292 @@ enum QueryKind {
 }
 
 /// One admitted `serve` request: the submitted job plus what to render
-/// from it — or an error already known at parse time, held in line so
+/// from it — or an error already known at admission, held in line so
 /// responses stay in request order.
 enum PendingReply {
     Job {
         kind: QueryKind,
         k: usize,
-        program: std::sync::Arc<cfa_syntax::cps::CpsProgram>,
+        program: Arc<cfa_syntax::cps::CpsProgram>,
         job: cfa_core::kcfa::KcfaJob,
     },
     Malformed(String),
-    /// A pool-metrics snapshot, captured when the request was read (so
-    /// the numbers describe the pool at ask time, not at drain time).
+    /// A pool-metrics snapshot, captured at admission (so the numbers
+    /// describe the pool at ask time, not at reply time).
     Stats(String),
 }
 
-fn run_serve(config: cfa_core::PoolConfig, limits: &EngineLimits) -> ExitCode {
-    use std::io::BufRead as _;
-    use std::io::Write as _;
+impl PendingReply {
+    /// Whether the reply can be written without blocking.
+    fn is_ready(&self) -> bool {
+        match self {
+            PendingReply::Job { job, .. } => job.is_finished(),
+            PendingReply::Malformed(_) | PendingReply::Stats(_) => true,
+        }
+    }
 
-    let pool = cfa_core::AnalysisPool::new(config);
-    let stdin = std::io::stdin().lock();
-    let mut lines = stdin.lines();
-    let mut pending: std::collections::VecDeque<(u64, PendingReply)> =
-        std::collections::VecDeque::new();
-    let mut next_id = 0u64;
-
-    let drain_one = |id: u64, reply: PendingReply| {
-        let mut out = std::io::stdout().lock();
-        match reply {
-            PendingReply::Malformed(reason) => {
-                let _ = writeln!(out, "err {id} {reason}\n.");
-            }
-            PendingReply::Stats(json) => {
-                let _ = writeln!(out, "ok {id} stats\n{json}\n.");
-            }
+    /// The reply's text: header, payload and the lone `.`. The call
+    /// graph, the race detector and the rendering run here, on the
+    /// serve loop's thread, never on a pool thread.
+    fn render(self, id: u64) -> String {
+        let (kind, k, program, job) = match self {
+            PendingReply::Malformed(reason) => return format!("err {id} {reason}\n.\n"),
+            PendingReply::Stats(json) => return format!("ok {id} stats\n{json}\n.\n"),
             PendingReply::Job {
                 kind,
                 k,
                 program,
                 job,
-            } => {
-                let r = job.wait();
-                if let Err(_code) = check_status(&r.metrics.status) {
-                    // check_status printed the one-line diagnostic;
-                    // mirror it into the protocol and keep serving.
-                    let _ = writeln!(out, "err {id} analysis stopped: {:?}\n.", r.metrics.status);
-                    return;
-                }
-                match kind {
-                    QueryKind::Callgraph => {
-                        let graph =
-                            cfa_core::callgraph::CallGraph::from_metrics(&program, &r.metrics);
-                        let _ = writeln!(
-                            out,
-                            "ok {id} callgraph k={k} sites={} edges={}",
-                            graph.site_count(),
-                            graph.edge_count()
-                        );
-                        let _ = write!(out, "{}", graph.to_dot(&program));
-                        let _ = writeln!(out, ".");
-                    }
-                    QueryKind::Races => {
-                        let report = cfa_core::races_kcfa(&program, k, &r.fixpoint);
-                        let _ = writeln!(out, "ok {id} races k={k} count={}", report.races.len());
-                        let _ = writeln!(out, "{}", report.render_json());
-                        let _ = writeln!(out, ".");
-                    }
-                }
-            }
-        }
-        let _ = out.flush();
-    };
-
-    loop {
-        let header = match lines.next() {
-            None => break,
-            Some(Err(e)) => {
-                eprintln!("cfa: stdin: {e}");
-                break;
-            }
-            Some(Ok(line)) => line,
+            } => (kind, k, program, job),
         };
-        if header.trim().is_empty() {
-            continue;
+        let r = job.wait();
+        if let Err(_code) = check_status(&r.metrics.status) {
+            // check_status printed the one-line diagnostic; mirror it
+            // into the protocol and keep serving.
+            return format!("err {id} analysis stopped: {:?}\n.\n", r.metrics.status);
         }
-        // Gather the request body up to the lone-`.` terminator before
-        // deciding anything, so a malformed header cannot desync the
-        // stream.
-        let mut source = String::new();
-        loop {
-            match lines.next() {
-                None => break,
-                Some(Err(e)) => {
-                    eprintln!("cfa: stdin: {e}");
-                    break;
-                }
-                Some(Ok(line)) => {
-                    if line.trim() == "." {
-                        break;
-                    }
-                    source.push_str(&line);
-                    source.push('\n');
-                }
+        match kind {
+            QueryKind::Callgraph => {
+                let graph = cfa_core::callgraph::CallGraph::from_metrics(&program, &r.metrics);
+                format!(
+                    "ok {id} callgraph k={k} sites={} edges={}\n{}.\n",
+                    graph.site_count(),
+                    graph.edge_count(),
+                    graph.to_dot(&program)
+                )
+            }
+            QueryKind::Races => {
+                let report = cfa_core::races_kcfa(&program, k, &r.fixpoint);
+                format!(
+                    "ok {id} races k={k} count={}\n{}\n.\n",
+                    report.races.len(),
+                    report.render_json()
+                )
             }
         }
-        let id = next_id;
-        next_id += 1;
-        let reply = parse_serve_request(&pool, &header, &source, limits);
-        pending.push_back((id, reply));
-        // Opportunistically flush any responses that are already done,
-        // preserving request order.
-        loop {
-            let ready = match pending.front() {
-                Some((_, PendingReply::Malformed(_) | PendingReply::Stats(_))) => true,
-                Some((_, PendingReply::Job { job, .. })) => job.is_finished(),
-                None => false,
-            };
-            if !ready {
-                break;
-            }
-            let (id, reply) = pending.pop_front().expect("front checked");
-            drain_one(id, reply);
+    }
+}
+
+/// One request as the framing thread read it: its header and body, or
+/// why it cannot be answered.
+type Framed = Result<(String, String), &'static str>;
+
+/// The framing thread's hand-off to the serve loop.
+struct Handoff {
+    inbox: Mutex<Inbox>,
+    /// The one condvar. The serve loop sleeps on it until a request
+    /// arrives, stdin closes or a run finishes; the framing thread
+    /// sleeps on it while the inbox is full. Both are woken with
+    /// `notify_all`, so a wake meant for one never strands the other.
+    wake: Condvar,
+    /// [`cfa_core::PoolConfig::queue_depth`]: the most requests the inbox
+    /// holds, and the most finished results the serve loop holds for
+    /// their turn before it stops admitting.
+    depth: usize,
+}
+
+#[derive(Default)]
+struct Inbox {
+    /// Framed requests not yet admitted, oldest first.
+    requests: VecDeque<Framed>,
+    /// Stdin is exhausted: no request follows those queued.
+    closed: bool,
+    /// The serve loop is asleep on [`Handoff::wake`].
+    waiting: bool,
+    /// Admitted jobs that have deposited their result, counted by their
+    /// wake hooks.
+    finished: usize,
+}
+
+impl Handoff {
+    fn lock(&self) -> MutexGuard<'_, Inbox> {
+        // Every update of the inbox is a single step, so a guard
+        // recovered from a poisoned lock still holds a consistent one.
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Applies `change` to the inbox and wakes the serve loop if it
+    /// sleeps.
+    fn tell_loop(&self, change: impl FnOnce(&mut Inbox)) {
+        let mut inbox = self.lock();
+        change(&mut inbox);
+        if inbox.waiting {
+            self.wake.notify_all();
         }
     }
-    // EOF: answer everything still in flight, in order.
-    for (id, reply) in pending {
-        drain_one(id, reply);
-    }
+}
+
+fn run_serve(config: cfa_core::PoolConfig, limits: &EngineLimits) -> ExitCode {
+    let handoff = Arc::new(Handoff {
+        inbox: Mutex::new(Inbox::default()),
+        wake: Condvar::new(),
+        depth: config.queue_depth.max(1),
+    });
+    let pool = cfa_core::AnalysisPool::new(config);
+    let framer = {
+        let handoff = Arc::clone(&handoff);
+        std::thread::Builder::new()
+            .name("cfa-serve-framer".to_owned())
+            .spawn(move || frame_requests(&handoff))
+            .expect("spawn the serve framing thread")
+    };
+    serve_loop(&pool, &handoff, limits);
     pool.shutdown();
+    framer.join().expect("the serve framing thread panicked");
     ExitCode::SUCCESS
+}
+
+/// The serve loop. Each turn admits the oldest framed request if one
+/// waits; otherwise writes the front reply once it is ready; otherwise
+/// sleeps until a request arrives, stdin closes or a run finishes. It
+/// returns once stdin has closed and every reply is written. Replies
+/// leave in request order, each the moment it and every earlier reply
+/// are ready.
+///
+/// Admission comes first so the pool is fed while earlier runs finish,
+/// until [`Handoff::depth`] finished results wait for their turn: then
+/// the loop writes before it admits again. Without that bound a client
+/// that keeps the inbox full would get no reply, and the server would
+/// hold every result, until it stopped sending.
+fn serve_loop(pool: &cfa_core::AnalysisPool, handoff: &Arc<Handoff>, limits: &EngineLimits) {
+    use std::io::Write as _;
+
+    let mut pending: VecDeque<(u64, PendingReply)> = VecDeque::new();
+    let mut next_id = 0u64;
+    // Job replies written so far: `Inbox::finished` less this is the
+    // number of finished results held for their turn.
+    let mut written = 0usize;
+    loop {
+        let mut inbox = handoff.lock();
+        let request = loop {
+            let held = inbox.finished.saturating_sub(written);
+            if !inbox.requests.is_empty() && held < handoff.depth {
+                if inbox.requests.len() == handoff.depth {
+                    // The inbox is full: the framing thread may wait.
+                    handoff.wake.notify_all();
+                }
+                break inbox.requests.pop_front();
+            }
+            if pending.front().is_some_and(|(_, reply)| reply.is_ready()) {
+                break None;
+            }
+            if inbox.closed && pending.is_empty() {
+                return;
+            }
+            inbox.waiting = true;
+            inbox = handoff
+                .wake
+                .wait(inbox)
+                .unwrap_or_else(PoisonError::into_inner);
+            inbox.waiting = false;
+        };
+        drop(inbox);
+        match request {
+            Some(framed) => {
+                let reply = match framed {
+                    Ok((header, source)) => parse_serve_request(pool, &header, &source, limits),
+                    Err(reason) => PendingReply::Malformed(reason.to_owned()),
+                };
+                if let PendingReply::Job { job, .. } = &reply {
+                    let handoff = Arc::clone(handoff);
+                    job.when_finished(move || handoff.tell_loop(|inbox| inbox.finished += 1));
+                }
+                pending.push_back((next_id, reply));
+                next_id += 1;
+            }
+            None => {
+                let (id, reply) = pending.pop_front().expect("the front reply is ready");
+                if matches!(reply, PendingReply::Job { .. }) {
+                    written += 1;
+                }
+                let text = reply.render(id);
+                let mut out = std::io::stdout().lock();
+                let _ = out.write_all(text.as_bytes());
+                let _ = out.flush();
+            }
+        }
+    }
+}
+
+/// The framing thread: reads requests off stdin and queues them for the
+/// serve loop, waiting while the inbox is full, so a client that floods
+/// the server meets pipe backpressure. Marks the inbox closed at EOF.
+fn frame_requests(handoff: &Handoff) {
+    let mut stdin = std::io::stdin().lock();
+    while let Some(request) = read_request(&mut stdin) {
+        let mut inbox = handoff.lock();
+        while inbox.requests.len() >= handoff.depth {
+            inbox = handoff
+                .wake
+                .wait(inbox)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        inbox.requests.push_back(request);
+        if inbox.waiting {
+            handoff.wake.notify_all();
+        }
+    }
+    handoff.tell_loop(|inbox| inbox.closed = true);
+}
+
+/// Reads one request: a header line, then body lines up to a lone `.`;
+/// blank lines before a header are skipped. Framing is by bytes, so a
+/// line that is not UTF-8 stays inside its request, which answers
+/// `err`, as does a request that EOF cuts off before its `.`. `None` at
+/// EOF before a header.
+fn read_request(input: &mut impl std::io::BufRead) -> Option<Framed> {
+    let is_line =
+        |line: &[u8], text: &str| std::str::from_utf8(line).is_ok_and(|l| l.trim() == text);
+    let mut line = Vec::new();
+    let header = loop {
+        if !read_line(input, &mut line) {
+            return None;
+        }
+        if !is_line(&line, "") {
+            break std::mem::take(&mut line);
+        }
+    };
+    let mut body = Vec::new();
+    loop {
+        if !read_line(input, &mut line) {
+            return Some(Err("request truncated at EOF"));
+        }
+        if is_line(&line, ".") {
+            break;
+        }
+        body.extend_from_slice(&line);
+        body.push(b'\n');
+    }
+    match (String::from_utf8(header), String::from_utf8(body)) {
+        (Ok(header), Ok(body)) => Some(Ok((header, body))),
+        _ => Some(Err("request is not UTF-8")),
+    }
+}
+
+/// Reads one line into `line` without its `\n` or `\r\n`. False at EOF
+/// or on a read error, which is reported on stderr.
+fn read_line(input: &mut impl std::io::BufRead, line: &mut Vec<u8>) -> bool {
+    line.clear();
+    match input.read_until(b'\n', line) {
+        Ok(0) => false,
+        Ok(_) => {
+            if line.ends_with(b"\n") {
+                line.pop();
+                if line.ends_with(b"\r") {
+                    line.pop();
+                }
+            }
+            true
+        }
+        Err(e) => {
+            // Not `eprintln!`, which panics when stderr is gone: the
+            // framing thread must reach its close, or the serve loop
+            // waits for it forever.
+            use std::io::Write as _;
+            let _ = writeln!(std::io::stderr(), "cfa: stdin: {e}");
+            false
+        }
+    }
 }
 
 /// Parses one `serve` header + body into a submitted job (or an
@@ -890,12 +1054,12 @@ fn parse_serve_request(
         }
     }
     let program = match cfa_syntax::compile(source) {
-        Ok(p) => std::sync::Arc::new(p),
+        Ok(p) => Arc::new(p),
         Err(e) => return PendingReply::Malformed(format!("compile error: {e}")),
     };
     let job = cfa_core::kcfa::submit_kcfa::<cfa_core::Replicated>(
         pool,
-        std::sync::Arc::clone(&program),
+        Arc::clone(&program),
         k,
         limits.clone(),
     );

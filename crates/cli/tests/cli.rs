@@ -388,8 +388,9 @@ fn trace_suppresses_partial_profiles() {
     );
 }
 
-#[test]
-fn serve_answers_stats_with_pool_gauges() {
+/// Runs `cfa serve` on `input` (stdin closed after it) and returns its
+/// stdout, asserting a clean exit.
+fn serve_output(input: &[u8]) -> String {
     use std::process::Stdio;
     let mut child = cfa()
         .arg("serve")
@@ -398,15 +399,28 @@ fn serve_answers_stats_with_pool_gauges() {
         .stderr(Stdio::null())
         .spawn()
         .unwrap();
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(b"callgraph k=1\n(define (id x) x) (id 42)\n.\nstats\n.\n")
-        .unwrap();
+    child.stdin.take().unwrap().write_all(input).unwrap();
     let out = child.wait_with_output().unwrap();
     assert!(out.status.success(), "{out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// The header line of every reply in `serve` output, in order.
+fn reply_headers(text: &str) -> Vec<&str> {
+    let mut headers = Vec::new();
+    let mut at_header = true;
+    for line in text.lines() {
+        if at_header {
+            headers.push(line);
+        }
+        at_header = line == ".";
+    }
+    headers
+}
+
+#[test]
+fn serve_answers_stats_with_pool_gauges() {
+    let text = serve_output(b"callgraph k=1\n(define (id x) x) (id 42)\n.\nstats\n.\n");
     assert!(text.contains("ok 0 callgraph"), "{text}");
     assert!(text.contains("ok 1 stats"), "{text}");
     // One line of JSON gauges; the earlier callgraph request is
@@ -419,6 +433,120 @@ fn serve_answers_stats_with_pool_gauges() {
     assert!(stats_line.contains("\"submitted\":1"), "{stats_line}");
     assert!(stats_line.contains("\"queued\":"), "{stats_line}");
     assert!(stats_line.ends_with('}'), "{stats_line}");
+}
+
+#[test]
+fn serve_keeps_framing_after_invalid_utf8() {
+    let text = serve_output(b"callgraph k=0\n(define (id x) x)\n\xff\n(id 42)\n.\nstats\n.\n");
+    assert_eq!(
+        reply_headers(&text),
+        ["err 0 request is not UTF-8", "ok 1 stats"],
+        "{text}"
+    );
+}
+
+#[test]
+fn serve_rejects_a_request_cut_off_by_eof() {
+    let text = serve_output(b"stats\n.\ncallgraph k=0\n(define (id x) x) (id 42)\n");
+    assert_eq!(
+        reply_headers(&text),
+        ["ok 0 stats", "err 1 request truncated at EOF"],
+        "{text}"
+    );
+}
+
+#[test]
+fn serve_replies_stay_in_request_order() {
+    let slow = cfa_workloads::worst_case_source(8);
+    let input = format!(
+        "callgraph k=1\n{slow}\n.\nstats\n.\nfrobnicate k=1\n(id 1)\n.\nraces k=0\n(+ 1 2)\n.\n"
+    );
+    let text = serve_output(input.as_bytes());
+    let headers = reply_headers(&text);
+    let ids: Vec<&str> = headers
+        .iter()
+        .map(|h| h.split_whitespace().nth(1).unwrap_or(""))
+        .collect();
+    assert_eq!(ids, ["0", "1", "2", "3"], "{text}");
+    assert!(headers[0].starts_with("ok 0 callgraph k=1"), "{text}");
+    assert_eq!(headers[1], "ok 1 stats", "{text}");
+    assert!(headers[2].starts_with("err 2 unknown query"), "{text}");
+    assert!(headers[3].starts_with("ok 3 races k=0"), "{text}");
+    // The stats snapshot is taken at admission: the slow request is
+    // submitted, the tiny one after it is not yet.
+    let stats_line = text.lines().find(|l| l.starts_with("{\"threads\":"));
+    assert!(
+        stats_line.is_some_and(|l| l.contains("\"submitted\":1,")),
+        "{text}"
+    );
+}
+
+/// Reads the next `serve` reply (its lines up to the lone `.`) off
+/// `lines`, killing the server and failing if none arrives in 20 s.
+fn next_reply(
+    lines: &std::sync::mpsc::Receiver<String>,
+    child: &mut std::process::Child,
+) -> Vec<String> {
+    let mut reply = Vec::new();
+    loop {
+        match lines.recv_timeout(std::time::Duration::from_secs(20)) {
+            Ok(line) if line == "." => return reply,
+            Ok(line) => reply.push(line),
+            Err(e) => {
+                let _ = child.kill();
+                panic!("no complete reply within 20 s ({e}); read {reply:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn serve_answers_before_the_next_request() {
+    use std::io::BufRead as _;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let mut child = cfa()
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    let stdout = child.stdout.take().unwrap();
+    let (send, lines) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in std::io::BufReader::new(stdout).lines() {
+            if send.send(line.unwrap()).is_err() {
+                break;
+            }
+        }
+    });
+    // A closed-loop client: each request waits for its reply, with
+    // stdin still open, before the next is sent.
+    let slow = cfa_workloads::worst_case_source(8);
+    write!(stdin, "callgraph k=1\n{slow}\n.\n").unwrap();
+    stdin.flush().unwrap();
+    let first = next_reply(&lines, &mut child);
+    assert!(first[0].starts_with("ok 0 callgraph k=1"), "{first:?}");
+    stdin.write_all(b"races k=0\n(+ 1 2)\n.\n").unwrap();
+    stdin.flush().unwrap();
+    let second = next_reply(&lines, &mut child);
+    assert!(second[0].starts_with("ok 1 races k=0"), "{second:?}");
+    drop(stdin);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().unwrap();
+            panic!("cfa serve did not exit once stdin closed");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "{status:?}");
+    reader.join().unwrap();
 }
 
 /// Asserts a malformed-knob exit: code 2 and one `cfa:` line naming

@@ -1224,6 +1224,12 @@ impl KcfaJob {
         self.handle.is_finished()
     }
 
+    /// Runs `hook` once the run has deposited its result — see
+    /// [`crate::pool::JobHandle::when_finished`].
+    pub fn when_finished(&self, hook: impl FnOnce() + Send + 'static) {
+        self.handle.when_finished(hook);
+    }
+
     /// Requests cancellation: still-queued runs finish
     /// [`crate::engine::Status::Cancelled`] at zero iterations.
     pub fn cancel(&self) {

@@ -330,7 +330,8 @@ where
     }
 }
 
-/// A ticket for one submitted analysis: wait for (or cancel) the run.
+/// A ticket for one submitted analysis: wait for (or cancel) the run,
+/// or ask to be woken when it finishes ([`JobHandle::when_finished`]).
 ///
 /// Dropping the handle detaches the run — it still executes and its
 /// result is discarded on deposit.
@@ -348,8 +349,46 @@ impl<T> std::fmt::Debug for JobHandle<T> {
 }
 
 struct HandleCore<T> {
-    slot: Mutex<Option<T>>,
+    slot: Mutex<Slot<T>>,
     done: Condvar,
+}
+
+/// A handle's result, once deposited, and the wake hook waiting for it.
+struct Slot<T> {
+    result: Option<T>,
+    hook: Option<Box<dyn FnOnce() + Send>>,
+}
+
+impl<T: Send + 'static> JobHandle<T> {
+    /// A handle with no result yet, and the deposit that fills it: the
+    /// deposit stores the result, wakes [`JobHandle::wait`], then runs
+    /// the wake hook outside the slot lock.
+    fn pending(cancel: CancelToken) -> (Self, Box<dyn FnOnce(T) + Send>) {
+        let core = Arc::new(HandleCore {
+            slot: Mutex::new(Slot {
+                result: None,
+                hook: None,
+            }),
+            done: Condvar::new(),
+        });
+        let deposit = {
+            let core = Arc::clone(&core);
+            Box::new(move |result| {
+                let hook = {
+                    let mut slot = core.slot.lock_recovered();
+                    slot.result = Some(result);
+                    slot.hook.take()
+                };
+                core.done.notify_all();
+                if let Some(hook) = hook {
+                    // The deposit runs on a pool thread: a panicking
+                    // hook must not take that thread down with it.
+                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(hook));
+                }
+            })
+        };
+        (JobHandle { core, cancel }, deposit)
+    }
 }
 
 impl<T> JobHandle<T> {
@@ -357,7 +396,7 @@ impl<T> JobHandle<T> {
     pub fn wait(self) -> T {
         let mut slot = self.core.slot.lock_recovered();
         loop {
-            if let Some(result) = slot.take() {
+            if let Some(result) = slot.result.take() {
                 return result;
             }
             slot = self
@@ -371,7 +410,24 @@ impl<T> JobHandle<T> {
     /// Whether the result has been deposited ([`JobHandle::wait`] will
     /// return without blocking).
     pub fn is_finished(&self) -> bool {
-        self.core.slot.lock_recovered().is_some()
+        self.core.slot.lock_recovered().result.is_some()
+    }
+
+    /// Runs `hook` once, right after the run deposits its result —
+    /// on the pool thread that deposits it, where
+    /// [`JobHandle::is_finished`] already reads `true` — or at once on
+    /// the caller if the result is already deposited. The hook should
+    /// be brief (it delays that thread's next quantum); a panic in it is
+    /// contained. A handle keeps one hook: registering another before
+    /// the deposit replaces it.
+    pub fn when_finished(&self, hook: impl FnOnce() + Send + 'static) {
+        let mut slot = self.core.slot.lock_recovered();
+        if slot.result.is_none() {
+            slot.hook = Some(Box::new(hook));
+            return;
+        }
+        drop(slot);
+        hook();
     }
 
     /// Requests cancellation: a still-queued run finishes
@@ -565,17 +621,7 @@ impl AnalysisPool {
                 token
             }
         };
-        let core = Arc::new(HandleCore {
-            slot: Mutex::new(None),
-            done: Condvar::new(),
-        });
-        let deposit: Box<dyn FnOnce(PoolRun<M>) + Send> = {
-            let core = Arc::clone(&core);
-            Box::new(move |run| {
-                *core.slot.lock_recovered() = Some(run);
-                core.done.notify_all();
-            })
-        };
+        let (handle, deposit) = JobHandle::pending(cancel);
         let tenant = B::tenant(machine, limits, mode, deposit);
 
         let mut sched = self.shared.sched.lock_recovered();
@@ -602,7 +648,7 @@ impl AnalysisPool {
             self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
             self.shared.work.notify_one();
         }
-        JobHandle { core, cancel }
+        handle
     }
 
     /// A live snapshot of the pool's gauges (queue depth, active and
@@ -744,4 +790,60 @@ fn requeue(shared: &PoolShared, tenant: AdmittedTenant) {
         sched.ready.push_back(tenant);
     }
     shared.work.notify_one();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn wake_hook_registered_before_the_deposit_runs_once_after_it() {
+        let (handle, deposit) = JobHandle::<u32>::pending(CancelToken::new());
+        let (ran, runs) = mpsc::channel();
+        let core = Arc::clone(&handle.core);
+        handle.when_finished(move || {
+            let finished = core.slot.lock_recovered().result.is_some();
+            ran.send(finished).expect("test still listening");
+        });
+        assert!(runs.try_recv().is_err(), "the hook ran before the deposit");
+        deposit(7);
+        assert_eq!(runs.try_recv(), Ok(true), "the hook must see the result");
+        assert_eq!(handle.wait(), 7);
+        // The hook's sender is gone: it ran exactly once.
+        assert_eq!(runs.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn wake_hook_registered_after_the_deposit_runs_at_once_on_the_caller() {
+        let (handle, deposit) = JobHandle::<u32>::pending(CancelToken::new());
+        deposit(7);
+        let (ran, runs) = mpsc::channel();
+        handle.when_finished(move || {
+            ran.send(std::thread::current().id())
+                .expect("test still listening");
+        });
+        assert_eq!(runs.try_recv(), Ok(std::thread::current().id()));
+        assert_eq!(handle.wait(), 7);
+    }
+
+    #[test]
+    fn wake_hook_of_a_shut_down_pool_submission_sees_cancelled() {
+        let mut pool = AnalysisPool::new(PoolConfig {
+            threads: 1,
+            ..PoolConfig::default()
+        });
+        pool.shutdown_inner();
+        let program = Arc::new(cfa_syntax::compile("((lambda (x) x) 1)").expect("compiles"));
+        let job = crate::kcfa::submit_kcfa::<crate::parallel::Replicated>(
+            &pool,
+            program,
+            1,
+            EngineLimits::default(),
+        );
+        let (ran, runs) = mpsc::channel();
+        job.when_finished(move || ran.send(()).expect("test still listening"));
+        assert_eq!(runs.try_recv(), Ok(()), "the run was already deposited");
+        assert_eq!(job.wait().fixpoint.status, Status::Cancelled);
+    }
 }

@@ -57,6 +57,15 @@ assert len(lanes) == 2, lanes
 assert all(n >= 1 for n in lanes.values()), lanes
 print(f"trace smoke ok: {dict(lanes)}")
 EOF
+# Closed-loop serve smoke, mirroring CI's step in the `throughput` job:
+# the suite programs go to one `cfa serve` one request at a time, each
+# sent only once the previous reply arrived (at most 10 s per reply);
+# ids must come back in order and the server must exit 0 at EOF.
+echo "closed-loop serve smoke"
+cargo run --release --offline --quiet --manifest-path repobench/Cargo.toml -- \
+    gen --seed 0 --unique 0 --out "${throughput_scratch}/serve-inputs"
+python3 scripts/serve_smoke.py "${CARGO_TARGET_DIR:-target}/release/cfa" \
+    "${throughput_scratch}/serve-inputs"
 # Corpus-scale differential sweep, mirroring CI's `corpus` job:
 # corpus_diff pushes the bounded corpus (suite + golden concurrent
 # programs + 16 seeded generated programs, seed 0) through every
