@@ -4,16 +4,19 @@
 //!
 //! Runs the depth-sweep k-CFA workload (the suite programs the
 //! `depth_sweep` experiment uses, plus the paper's worst-case family)
-//! through four engine configurations:
+//! through five engine configurations:
 //!
 //! * `semi_naive` — `cfa_core::engine::run_fixpoint` (the default:
 //!   semi-naive delta-aware transfer functions);
 //! * `new` — the same engine under `EvalMode::FullReeval`, i.e. the
 //!   PR-2 sequential engine (full re-evaluation on every wakeup), kept
 //!   as the baseline the semi-naive column is judged against;
-//! * `sharded` — the shared address-sharded store backend
-//!   (`cfa_core::shardstore::run_fixpoint_sharded`, semi-naive) at
-//!   [`PAR_THREADS`] workers — same fixpoint, O(program) store memory;
+//! * `sharded_1` / `sharded_2` — the shared address-sharded store
+//!   backend (`cfa_core::shardstore::run_fixpoint_sharded`,
+//!   semi-naive) at one and at two workers — same fixpoint,
+//!   O(program) store memory. One worker runs a deterministic
+//!   schedule, so `sharded_1`'s counters repeat exactly; two workers
+//!   race, so `sharded_2`'s counters vary from run to run;
 //! * `reference` — the retained pre-interning engine.
 //!
 //! Emits `BENCH_engine.json` with wall times, iteration counts, join
@@ -21,9 +24,10 @@
 //! semi-naive evaluation shrinks), `delta_facts`, `delta_applies`
 //! (narrowed application sites), **`store_bytes`** (approximate
 //! store-resident bytes: the private store of a sequential run, the one
-//! shared store for `sharded`), and the scheduler counters (`steals`, `failed_steals`,
-//! `idle_spins`, `inbox_batches`, `inbox_drains`), so future PRs have
-//! a perf trajectory to compare against.
+//! shared store for the sharded columns), and the scheduler counters
+//! (`steals`, `failed_steals`, `idle_spins`, `inbox_batches`,
+//! `inbox_drains`), so future PRs have a perf trajectory to compare
+//! against.
 //!
 //! Also measures the telemetry layer's disabled-path overhead with a
 //! paired A/B on the heaviest cell (interp k=2): `CFA_TRACE=off` and
@@ -42,8 +46,9 @@ use cfa_syntax::cps::CpsProgram;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Worker threads for the parallel columns.
-const PAR_THREADS: usize = 4;
+/// Worker counts of the sharded columns: one worker (deterministic,
+/// the shared store's own cost) and two (this host's CPU count).
+const SHARDED_WORKERS: [usize; 2] = [1, 2];
 
 /// One measured engine run.
 struct Cell {
@@ -131,12 +136,13 @@ fn run_new(program: &CpsProgram, k: usize, runs: usize, mode: EvalMode) -> Cell 
     })
 }
 
-/// Best-of-N timing of the sharded parallel engine on one cell.
-fn run_sharded(program: &CpsProgram, k: usize, runs: usize) -> Cell {
+/// Best-of-N timing of the sharded parallel engine at `threads`
+/// workers on one cell.
+fn run_sharded(program: &CpsProgram, k: usize, runs: usize, threads: usize) -> Cell {
     best_of(runs, || {
         let mut machine = KCfaMachine::new(program, k);
         let start = Instant::now();
-        let r = run_fixpoint_sharded(&mut machine, PAR_THREADS, EngineLimits::default());
+        let r = run_fixpoint_sharded(&mut machine, threads, EngineLimits::default());
         let seconds = start.elapsed().as_secs_f64();
         assert!(r.status.is_complete(), "bench cells must complete");
         cell_of(&r, seconds)
@@ -273,20 +279,22 @@ fn main() {
 
     let runs = 3;
     let mut rows: Vec<String> = Vec::new();
-    let (mut total_semi, mut total_new, mut total_sh, mut total_ref) =
-        (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let (mut total_semi, mut total_new, mut total_ref) = (0.0f64, 0.0f64, 0.0f64);
+    let mut total_sh = [0.0f64; SHARDED_WORKERS.len()];
     let mut peak_facts = 0usize;
 
     println!(
-        "{:>14} {:>3} | {:>9} {:>9} {:>9} {:>9} | {:>8} {:>8} | {:>11} {:>11}",
+        "{:>14} {:>3} | {:>9} {:>9} {:>9} {:>9} {:>9} | {:>8} {:>8} {:>8} | {:>11} {:>11}",
         "program",
         "k",
         "semi (s)",
         "full (s)",
-        "shard4(s)",
+        "shard1(s)",
+        "shard2(s)",
         "ref (s)",
         "semi-spd",
-        "shrd-spd",
+        "sh1-spd",
+        "sh2-spd",
         "semi bytes",
         "shard bytes"
     );
@@ -295,9 +303,15 @@ fn main() {
         for k in cfa_bench::DEPTH_SWEEP_KS {
             let semi = run_new(&program, k, runs, EvalMode::SemiNaive);
             let new = run_new(&program, k, runs, EvalMode::FullReeval);
-            let sharded = run_sharded(&program, k, runs);
+            let sharded = SHARDED_WORKERS.map(|threads| run_sharded(&program, k, runs, threads));
             let reference = run_reference(&program, k, runs);
-            for (tag, cell) in [("semi-naive", &semi), ("full", &new), ("sharded", &sharded)] {
+            let columns = [
+                ("semi-naive", &semi),
+                ("full", &new),
+                ("sharded@1", &sharded[0]),
+                ("sharded@2", &sharded[1]),
+            ];
+            for (tag, cell) in columns {
                 assert_eq!(
                     cell.facts, reference.facts,
                     "{name} k={k}: {tag} fixpoint diverges"
@@ -313,52 +327,65 @@ fn main() {
             );
             total_semi += semi.seconds;
             total_new += new.seconds;
-            total_sh += sharded.seconds;
             total_ref += reference.seconds;
+            for (total, cell) in total_sh.iter_mut().zip(&sharded) {
+                *total += cell.seconds;
+            }
             peak_facts = peak_facts.max(semi.facts);
             let speedup = reference.seconds / new.seconds.max(1e-9);
-            let sharded_speedup = semi.seconds / sharded.seconds.max(1e-9);
             let semi_speedup = new.seconds / semi.seconds.max(1e-9);
+            let sharded_speedup = sharded
+                .each_ref()
+                .map(|cell| semi.seconds / cell.seconds.max(1e-9));
             println!(
-                "{:>14} {:>3} | {:>9.4} {:>9.4} {:>9.4} {:>9.4} | {:>7.2}x {:>7.2}x | {:>11} {:>11}",
+                "{:>14} {:>3} | {:>9.4} {:>9.4} {:>9.4} {:>9.4} {:>9.4} | {:>7.2}x {:>7.2}x {:>7.2}x \
+                 | {:>11} {:>11}",
                 name,
                 k,
                 semi.seconds,
                 new.seconds,
-                sharded.seconds,
+                sharded[0].seconds,
+                sharded[1].seconds,
                 reference.seconds,
                 semi_speedup,
-                sharded_speedup,
+                sharded_speedup[0],
+                sharded_speedup[1],
                 semi.store_bytes,
-                sharded.store_bytes
+                sharded[0].store_bytes
             );
             let mut row = String::new();
             let _ = write!(row, "    {{\"program\": \"{name}\", \"k\": {k}, ");
             cell_json(&mut row, "semi_naive", &semi);
             row.push_str(", ");
             cell_json(&mut row, "new", &new);
+            for (threads, cell) in SHARDED_WORKERS.iter().zip(&sharded) {
+                row.push_str(", ");
+                cell_json(&mut row, &format!("sharded_{threads}"), cell);
+            }
             row.push_str(", ");
-            cell_json(&mut row, "sharded", &sharded);
-            let _ = write!(row, ", \"parallel_threads\": {PAR_THREADS}, ");
             cell_json(&mut row, "reference", &reference);
             let _ = write!(
                 row,
-                ", \"speedup\": {speedup:.3}, \"speedup_semi_naive\": {semi_speedup:.3}, \
-                 \"speedup_sharded\": {sharded_speedup:.3}}}"
+                ", \"speedup\": {speedup:.3}, \"speedup_semi_naive\": {semi_speedup:.3}"
             );
+            for (threads, spd) in SHARDED_WORKERS.iter().zip(sharded_speedup) {
+                let _ = write!(row, ", \"speedup_sharded_{threads}\": {spd:.3}");
+            }
+            row.push('}');
             rows.push(row);
         }
     }
 
     let speedup = total_ref / total_new.max(1e-9);
     let semi_speedup = total_new / total_semi.max(1e-9);
-    let sharded_speedup = total_semi / total_sh.max(1e-9);
+    let sharded_speedup = total_sh.map(|total| total_semi / total.max(1e-9));
     println!();
     println!(
-        "total: semi-naive {total_semi:.3}s, full {total_new:.3}s, sharded({PAR_THREADS}t) \
-         {total_sh:.3}s, reference {total_ref:.3}s — {semi_speedup:.2}x semi-naive vs full, \
-         {speedup:.2}x full vs reference, {sharded_speedup:.2}x sharded vs semi-naive, \
-         peak {peak_facts} facts"
+        "total: semi-naive {total_semi:.3}s, full {total_new:.3}s, sharded@1 {:.3}s, \
+         sharded@2 {:.3}s, reference {total_ref:.3}s — {semi_speedup:.2}x semi-naive vs full, \
+         {speedup:.2}x full vs reference, {:.2}x sharded@1 and {:.2}x sharded@2 vs \
+         semi-naive, peak {peak_facts} facts",
+        total_sh[0], total_sh[1], sharded_speedup[0], sharded_speedup[1]
     );
 
     // Disabled-path telemetry overhead, measured not assumed: the gate
@@ -384,15 +411,18 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"benchmark\": \"engine depth-sweep k-CFA\",");
     let _ = writeln!(json, "  \"runs_per_cell\": {runs},");
-    let _ = writeln!(json, "  \"parallel_threads\": {PAR_THREADS},");
     let _ = writeln!(json, "  \"host_cpus\": {},", host_cpus());
     let _ = writeln!(json, "  \"total_seconds_semi_naive\": {total_semi:.6},");
     let _ = writeln!(json, "  \"total_seconds_new\": {total_new:.6},");
-    let _ = writeln!(json, "  \"total_seconds_sharded\": {total_sh:.6},");
+    for (threads, total) in SHARDED_WORKERS.iter().zip(total_sh) {
+        let _ = writeln!(json, "  \"total_seconds_sharded_{threads}\": {total:.6},");
+    }
     let _ = writeln!(json, "  \"total_seconds_reference\": {total_ref:.6},");
     let _ = writeln!(json, "  \"speedup\": {speedup:.3},");
     let _ = writeln!(json, "  \"speedup_semi_naive\": {semi_speedup:.3},");
-    let _ = writeln!(json, "  \"speedup_sharded\": {sharded_speedup:.3},");
+    for (threads, spd) in SHARDED_WORKERS.iter().zip(sharded_speedup) {
+        let _ = writeln!(json, "  \"speedup_sharded_{threads}\": {spd:.3},");
+    }
     let _ = writeln!(json, "  \"peak_fact_count\": {peak_facts},");
     let _ = writeln!(
         json,
