@@ -943,7 +943,8 @@ pub(crate) fn worker_turn<B: BackendWorker>(
     // wakeups are scheduled against the freshest store view: one
     // bounded batch, then fall through to evaluate.
     let msgs = ctx.drain_inbox();
-    if !msgs.is_empty() {
+    let delivered = !msgs.is_empty();
+    if delivered {
         for msg in msgs {
             backend.on_msg(msg, ctx);
             // Only now is the message's own pending released:
@@ -965,6 +966,11 @@ pub(crate) fn worker_turn<B: BackendWorker>(
         },
     };
     let Some(i) = task else {
+        if delivered {
+            // Delivering is work: the rest of a bounded drain may still
+            // wait in the inbox, so this worker is not idle.
+            return Turn::Worked;
+        }
         if ctx.fabric.pending.load(Ordering::Acquire) == 0 {
             ctx.fabric.done.store(true, Ordering::Release);
             return Turn::Stopped;
@@ -1169,4 +1175,75 @@ where
         }
         reports
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A backend whose tasks do nothing and whose messages are recorded
+    /// in delivery order.
+    #[derive(Default)]
+    struct Recorder {
+        delivered: Vec<u32>,
+    }
+
+    impl BackendWorker for Recorder {
+        type Task = u32;
+        type Msg = u32;
+
+        fn seed(&mut self, _ctx: &mut WorkerCtx<'_, u32, u32>) {}
+
+        fn home(&mut self, task: u32) -> usize {
+            task as usize
+        }
+
+        fn gated(&self, _i: usize) -> bool {
+            false
+        }
+
+        fn evaluate(&mut self, _i: usize, _ctx: &mut WorkerCtx<'_, u32, u32>) {}
+
+        fn describe(&self, i: usize) -> String {
+            i.to_string()
+        }
+
+        fn on_msg(&mut self, msg: u32, _ctx: &mut WorkerCtx<'_, u32, u32>) {
+            self.delivered.push(msg);
+        }
+
+        fn enforce_watermark(&mut self, _watermark: usize) {}
+    }
+
+    /// A worker with no task but a deep inbox is busy until the inbox
+    /// is empty: each bounded drain is a worked turn, never an idle
+    /// spin, so the rest of the drain is not left waiting behind an
+    /// idle backoff.
+    #[test]
+    fn a_turn_that_delivers_messages_is_work() {
+        let fabric: Fabric<u32, u32> = Fabric::new(2);
+        let limits = EngineLimits::default();
+        let start = Instant::now();
+        let sender = fresh_ctx(1, &fabric, EvalMode::SemiNaive, &limits, start);
+        let sent = 3 * MIN_DRAIN_BATCH as u32 + 1;
+        for msg in 0..sent {
+            sender.send(0, msg);
+        }
+        let mut ctx = fresh_ctx(0, &fabric, EvalMode::SemiNaive, &limits, start);
+        let mut backend = Recorder::default();
+        let mut turns = 0;
+        while !fabric.inboxes[0].lock_recovered().is_empty() {
+            let turn = worker_turn(&mut backend, &mut ctx, &limits, None, start);
+            turns += 1;
+            assert_eq!(turn, Turn::Worked, "turn {turns} delivered messages");
+            assert_eq!(ctx.state.sched.idle_spins, 0, "turn {turns}");
+        }
+        assert!(turns > 1, "the first drain is bounded, so it takes {turns} turns");
+        assert_eq!(backend.delivered, (0..sent).collect::<Vec<_>>());
+        assert_eq!(
+            worker_turn(&mut backend, &mut ctx, &limits, None, start),
+            Turn::Stopped,
+            "every message delivered: the run is quiescent"
+        );
+    }
 }
