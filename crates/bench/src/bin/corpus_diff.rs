@@ -10,7 +10,9 @@
 //!
 //! Any divergence is written as a replayable artifact directory
 //! (program source, both snapshots, and the exact `cfa dump` /
-//! `cfa compare` commands that reproduce it) and the run exits 1. A
+//! `cfa compare` commands that reproduce it) and the run exits 1. So
+//! does a sharded run in which a worker waited out a park timeout: these
+//! runs finish far inside one timeout, so that is a lost wakeup. A
 //! run that cannot be compared honestly — any engine stopping short of
 //! its fixpoint (timeout, iteration limit, injected fault) — is
 //! reported as "not comparable", never as a spurious diff, and the run
@@ -91,9 +93,10 @@ impl Engine {
     }
 }
 
-/// How one engine configuration's run canonicalized: a normal form, or
-/// the reason it has none.
-type EngineOutcome = (Engine, Result<CanonSnapshot, String>);
+/// How one engine configuration's run ended: its normal form (or the
+/// reason it has none), and how many of its parks ended by their
+/// timeout rather than an unpark (only sharded runs park).
+type EngineOutcome = (Engine, Result<CanonSnapshot, String>, u64);
 
 /// Runs one (program, analysis) pair through every engine
 /// configuration: the two pooled runs are submitted first, then the
@@ -128,17 +131,22 @@ where
     let canon =
         |r: &FixpointResult<M::Config, M::Addr, M::Val>| canon_fix(r).map_err(|e| e.to_string());
     let r = run_fixpoint_reference(&mut mk_ref(), limits());
-    let mut out = vec![(Engine::Reference, canon_ref(&r).map_err(|e| e.to_string()))];
+    let mut out = vec![(
+        Engine::Reference,
+        canon_ref(&r).map_err(|e| e.to_string()),
+        0,
+    )];
     for mode in MODES {
         let r = run_fixpoint_with(&mut mk(), limits(), mode);
-        out.push((Engine::Sequential(mode), canon(&r)));
+        out.push((Engine::Sequential(mode), canon(&r), r.sched.park_timeouts));
     }
     for mode in MODES {
         let r = run_fixpoint_parallel_on::<Sharded, M>(&mut mk(), PAR_THREADS, limits(), mode);
-        out.push((Engine::Sharded(mode), canon(&r)));
+        out.push((Engine::Sharded(mode), canon(&r), r.sched.park_timeouts));
     }
     for (engine, handle) in handles {
-        out.push((engine, canon(&handle.wait().fixpoint)));
+        let r = handle.wait().fixpoint;
+        out.push((engine, canon(&r), r.sched.park_timeouts));
     }
     out
 }
@@ -219,6 +227,7 @@ fn main() -> ExitCode {
     let mut comparisons = 0usize;
     let mut divergences = 0usize;
     let mut not_comparable = 0usize;
+    let mut park_timeouts = 0u64;
     for program in &programs {
         let compiled = match cfa_syntax::compile(&program.source) {
             Ok(p) => Arc::new(p),
@@ -254,11 +263,21 @@ fn main() -> ExitCode {
                 ),
             };
             engines_run += outcomes.len();
+            for (engine, _, timeouts) in &outcomes {
+                if *timeouts > 0 {
+                    park_timeouts += timeouts;
+                    eprintln!(
+                        "PARK TIMEOUT: {} [{analysis}] {engine}: {timeouts} park(s) ended by \
+                         their timeout, not an unpark (a lost wakeup)",
+                        program.name
+                    );
+                }
+            }
             let reference = match &outcomes[0].1 {
                 Ok(snapshot) => snapshot.clone(),
                 Err(reason) => {
                     // No oracle: nothing on this pair is comparable.
-                    for (engine, _) in &outcomes {
+                    for (engine, _, _) in &outcomes {
                         eprintln!(
                             "not comparable: {} [{analysis}] {engine}: {reason}",
                             program.name
@@ -269,7 +288,7 @@ fn main() -> ExitCode {
                 }
             };
             let reference_json = reference.to_json();
-            for (engine, outcome) in &outcomes[1..] {
+            for (engine, outcome, _) in &outcomes[1..] {
                 comparisons += 1;
                 match outcome {
                     Err(reason) => {
@@ -314,10 +333,11 @@ fn main() -> ExitCode {
 
     println!(
         "corpus_diff: {} programs, {comparisons} comparisons, \
-         {divergences} divergences, {not_comparable} not comparable",
+         {divergences} divergences, {not_comparable} not comparable, \
+         {park_timeouts} park timeouts",
         programs.len()
     );
-    if divergences > 0 {
+    if divergences > 0 || park_timeouts > 0 {
         ExitCode::FAILURE
     } else if not_comparable > 0 {
         ExitCode::from(3)

@@ -25,9 +25,9 @@
 //! (narrowed application sites), **`store_bytes`** (approximate
 //! store-resident bytes: the private store of a sequential run, the one
 //! shared store for the sharded columns), and the scheduler counters
-//! (`steals`, `failed_steals`, `idle_spins`, `inbox_batches`,
-//! `inbox_drains`), so future PRs have a perf trajectory to compare
-//! against.
+//! (`steals`, `failed_steals`, `idle_spins`, `park_timeouts`,
+//! `inbox_batches`, `inbox_drains`), so future PRs have a perf
+//! trajectory to compare against.
 //!
 //! Also measures the telemetry layer's disabled-path overhead with a
 //! paired A/B on the heaviest cell (interp k=2): `CFA_TRACE=off` and
@@ -70,6 +70,7 @@ struct Cell {
     steals: u64,
     failed_steals: u64,
     idle_spins: u64,
+    park_timeouts: u64,
     inbox_batches: u64,
     inbox_drains: u64,
 }
@@ -107,6 +108,7 @@ where
         steals: r.sched.steals,
         failed_steals: r.sched.failed_steals,
         idle_spins: r.sched.idle_spins,
+        park_timeouts: r.sched.park_timeouts,
         inbox_batches: r.sched.inbox_batches,
         inbox_drains: r.sched.inbox_drains,
     }
@@ -173,6 +175,7 @@ fn run_reference(program: &CpsProgram, k: usize, runs: usize) -> Cell {
             steals: 0,
             failed_steals: 0,
             idle_spins: 0,
+            park_timeouts: 0,
             inbox_batches: 0,
             inbox_drains: 0,
         }
@@ -253,7 +256,8 @@ fn cell_json(out: &mut String, tag: &str, c: &Cell) {
          \"value_joins\": {}, \"facts\": {}, \"configs\": {}, \"skipped\": {}, \
          \"wakeups\": {}, \"delta_facts\": {}, \"delta_applies\": {}, \
          \"store_bytes\": {}, \"steals\": {}, \"failed_steals\": {}, \
-         \"idle_spins\": {}, \"inbox_batches\": {}, \"inbox_drains\": {}}}",
+         \"idle_spins\": {}, \"park_timeouts\": {}, \"inbox_batches\": {}, \
+         \"inbox_drains\": {}}}",
         c.status,
         c.seconds,
         c.iterations,
@@ -269,6 +273,7 @@ fn cell_json(out: &mut String, tag: &str, c: &Cell) {
         c.steals,
         c.failed_steals,
         c.idle_spins,
+        c.park_timeouts,
         c.inbox_batches,
         c.inbox_drains
     );

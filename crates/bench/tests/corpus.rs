@@ -20,6 +20,7 @@ fn bounded_corpus_has_zero_divergences() {
     assert!(text.contains("ok eta (21 engine configurations)"), "{text}");
     assert!(text.contains("0 divergences"), "{text}");
     assert!(text.contains("0 not comparable"), "{text}");
+    assert!(text.contains("0 park timeouts"), "{text}");
 }
 
 #[test]

@@ -106,7 +106,11 @@ fn sequential_counters_match_bench_engine_json() {
 #[test]
 fn one_worker_sharded_counters_match_bench_engine_json() {
     assert_pinned("sharded_1", |program, k| {
-        let r = run_fixpoint_sharded(&mut KCfaMachine::new(program, k), 1, EngineLimits::default());
+        let r = run_fixpoint_sharded(
+            &mut KCfaMachine::new(program, k),
+            1,
+            EngineLimits::default(),
+        );
         assert_eq!(r.skipped, 0, "one worker never reaches the epoch gate");
         r
     });

@@ -690,8 +690,20 @@ pub struct SchedStats {
     pub steals: u64,
     /// Steal attempts that scanned every victim and found nothing.
     pub failed_steals: u64,
-    /// Idle loop iterations with no task, no message, and no steal.
+    /// Idle turns: worker turns that found no task, no message and
+    /// nothing to steal while the run was still pending. On a run
+    /// that owns its threads each is followed by a `yield_now` (the
+    /// first [`crate::fabric::IDLE_YIELDS`] of an idle stretch) or a
+    /// park until another worker gives this one work; a pool tenant
+    /// hands its pool thread back instead.
     pub idle_spins: u64,
+    /// Parks that ended by their timeout (a quarter of
+    /// [`EngineLimits::stall_timeout`]) rather than by an unpark. A
+    /// producer unparks the worker its work is for, so a run that
+    /// completes well inside one park timeout counts zero; a positive
+    /// count on such a run is a lost wakeup. On a longer run it can
+    /// also mean a worker had nothing to do for a whole timeout.
+    pub park_timeouts: u64,
     /// Inter-worker messages processed (the sharded backend's growth,
     /// dependency and wake messages).
     pub inbox_batches: u64,
@@ -716,6 +728,7 @@ impl SchedStats {
         self.steals += other.steals;
         self.failed_steals += other.failed_steals;
         self.idle_spins += other.idle_spins;
+        self.park_timeouts += other.park_timeouts;
         self.inbox_batches += other.inbox_batches;
         self.inbox_drains += other.inbox_drains;
         self.max_inbox_depth = self.max_inbox_depth.max(other.max_inbox_depth);

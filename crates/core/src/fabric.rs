@@ -40,9 +40,24 @@
 //!   timeout;
 //! * **the iteration budget** — a global evaluation counter claimed
 //!   before each step;
-//! * **idle-spin backoff**, the stall watchdog, the armed fault plan,
-//!   the per-worker telemetry ring, and the [`SchedStats`] accounting
-//!   for all of the above;
+//! * **parking: who unparks whom** — a worker that has run dry yields
+//!   for [`IDLE_YIELDS`] idle turns, then marks itself in the fabric's
+//!   parked set, re-checks the fresh queues, its inbox, `pending` and
+//!   the done flag, and only then parks. Whoever creates work unparks
+//!   the worker it is for: [`WorkerCtx::send`] unparks its target
+//!   (remote wakes travel as messages); a push that leaves a fresh
+//!   queue holding at least [`THIEF_WAKE_DEPTH`] tasks unparks one
+//!   parked thief (the owner pops the first task itself); a stop or
+//!   quiescence unparks every worker. A parked worker's own fresh and
+//!   wake queues are empty — only it pushes to them — so no other work
+//!   can be waiting for it. A producer checks the parked set *after*
+//!   publishing its work and a parker re-checks for work *after*
+//!   marking itself, so at least one of them sees the other: no wakeup
+//!   is lost. A park times out after a quarter of the stall timeout, so
+//!   the stall watchdog still runs; `SchedStats::park_timeouts` counts
+//!   the parks that ended that way;
+//! * the stall watchdog, the armed fault plan, the per-worker telemetry
+//!   ring, and the [`SchedStats`] accounting for all of the above;
 //! * **adaptive inbox drains** — each drain takes a bounded batch sized
 //!   by the worker's observed average inbox depth (clamped to
 //!   8..=512), then the worker returns to evaluating. Workers that see
@@ -70,7 +85,8 @@ use crate::engine::{panic_message, CancelToken, EngineLimits, EvalMode, SchedSta
 use crate::telemetry::TraceBuffer;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Poison-recovering locking, used for every mutex the fabric and the
@@ -105,6 +121,21 @@ const MIN_DRAIN_BATCH: usize = 8;
 
 /// Largest bounded inbox drain.
 const MAX_DRAIN_BATCH: usize = 512;
+
+/// Idle turns a worker spends yielding before it parks. A short spin
+/// keeps a worker that is about to receive work off the park/unpark
+/// path, whose two system calls cost more than a few yields.
+pub const IDLE_YIELDS: u32 = 16;
+
+/// A push that leaves a fresh queue at least this deep unparks one
+/// parked thief: the queue's owner pops the first task itself, so a
+/// thief woken for a lone task would most often find nothing to steal.
+pub const THIEF_WAKE_DEPTH: usize = 2;
+
+/// Parks per stall timeout: a parked worker wakes after a quarter of
+/// [`EngineLimits::stall_timeout`] to run the watchdog, so a stall is
+/// reported at most a quarter of the threshold late.
+const PARKS_PER_STALL_TIMEOUT: u32 = 4;
 
 /// A deterministic fault-injection plan, threaded through cheap atomic
 /// hooks in the worker loop (one `Option` branch per pop when unarmed —
@@ -323,6 +354,31 @@ pub struct Fabric<T, M> {
     /// idle") of the moment every worker was first observed idle with
     /// work still pending. Reset whenever any worker finds work.
     all_idle_since: AtomicU64,
+    /// The parked set: one slot per worker.
+    parked: Vec<ParkSlot>,
+}
+
+/// One worker's slot in a fabric's parked set.
+#[derive(Debug, Default)]
+struct ParkSlot {
+    /// Raised by the worker before its last re-check for work; lowered
+    /// by whoever unparks it, or by the worker itself when it declines
+    /// to park or its park times out.
+    parked: AtomicBool,
+    /// The worker's thread, registered on its first park — before its
+    /// flag is ever raised, so an unparker that sees the flag sees it.
+    thread: OnceLock<Thread>,
+}
+
+/// How one [`Fabric::park`] ended.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+enum Park {
+    /// The re-check after marking found work: the worker never slept.
+    Declined,
+    /// Someone gave the worker work (or ended the run) and unparked it.
+    Unparked,
+    /// Nobody unparked the worker before the timeout.
+    TimedOut,
 }
 
 /// One worker's watchdog mirror: its idle flag plus the scheduling
@@ -352,6 +408,7 @@ impl<T, M> Fabric<T, M> {
             stop_status: Mutex::new(None),
             meters: (0..threads).map(|_| WorkerMeter::default()).collect(),
             all_idle_since: AtomicU64::new(0),
+            parked: (0..threads).map(|_| ParkSlot::default()).collect(),
         }
     }
 
@@ -370,9 +427,102 @@ impl<T, M> Fabric<T, M> {
     /// Records the limit that stopped the run (first writer wins) and
     /// raises the done flag.
     pub(crate) fn stop(&self, status: Status) {
-        let mut slot = self.stop_status.lock_recovered();
-        slot.get_or_insert(status);
-        self.done.store(true, Ordering::Release);
+        self.stop_status.lock_recovered().get_or_insert(status);
+        self.raise_done();
+    }
+
+    /// Raises the done flag — the run is over, quiescent or stopped —
+    /// and unparks every worker so each one sees it. The flag is stored
+    /// before the parked set is read, and [`Fabric::park`] raises a
+    /// worker's mark before it re-reads the flag (both sequentially
+    /// consistent), so a worker cannot sleep through the end of a run.
+    fn raise_done(&self) {
+        self.done.store(true, Ordering::SeqCst);
+        for id in 0..self.threads() {
+            self.unpark(id);
+        }
+    }
+
+    /// Unparks worker `id` if it is parked, returning whether it was.
+    /// A producer calls this *after* publishing the work it has for
+    /// `id`, which is what makes the parker's re-check sufficient.
+    fn unpark(&self, id: usize) -> bool {
+        let slot = &self.parked[id];
+        let was_parked =
+            slot.parked.load(Ordering::SeqCst) && slot.parked.swap(false, Ordering::SeqCst);
+        if was_parked {
+            slot.thread
+                .get()
+                .expect("a parked worker has registered its thread")
+                .unpark();
+        }
+        was_parked
+    }
+
+    /// Unparks one parked worker other than `id`: a thief for the
+    /// fresh tasks `id` has just queued.
+    fn unpark_thief(&self, id: usize) {
+        let n = self.threads();
+        for off in 1..n {
+            if self.unpark((id + off) % n) {
+                return;
+            }
+        }
+    }
+
+    /// Whether worker `id` has anything to do: the run is over or
+    /// quiescent (its next turn stops), its inbox holds a message, or
+    /// some fresh queue holds a task it could pop or steal — the
+    /// re-check a worker makes after marking itself parked.
+    fn has_work(&self, id: usize) -> bool {
+        self.done.load(Ordering::SeqCst)
+            || self.pending.load(Ordering::Acquire) == 0
+            || !self.inboxes[id].lock_recovered().is_empty()
+            || self.queues.iter().any(|q| !q.lock_recovered().is_empty())
+    }
+
+    /// Parks worker `id` — the calling thread — until another worker
+    /// unparks it or `timeout` passes (`None`: no timeout). The worker
+    /// first raises its mark in the parked set, then asks `has_work`,
+    /// and sleeps only if that finds nothing: work published before the
+    /// mark is seen by `has_work`, and a producer that publishes after
+    /// it sees the mark and unparks.
+    fn park(&self, id: usize, timeout: Option<Duration>, has_work: impl FnOnce() -> bool) -> Park {
+        let slot = &self.parked[id];
+        let thread = slot.thread.get_or_init(std::thread::current);
+        debug_assert_eq!(
+            thread.id(),
+            std::thread::current().id(),
+            "worker {id} parks on its own thread"
+        );
+        slot.parked.store(true, Ordering::SeqCst);
+        if has_work() {
+            // A producer may have lowered the mark already and left an
+            // unpark token behind; a later park absorbs it as one
+            // spurious wakeup.
+            slot.parked.store(false, Ordering::SeqCst);
+            return Park::Declined;
+        }
+        let deadline = timeout.map(|t| Instant::now() + t);
+        // `park` may return spuriously: only a lowered mark means an
+        // unpark.
+        while slot.parked.load(Ordering::SeqCst) {
+            match deadline {
+                None => std::thread::park(),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return if slot.parked.swap(false, Ordering::SeqCst) {
+                            Park::TimedOut
+                        } else {
+                            Park::Unparked
+                        };
+                    }
+                    std::thread::park_timeout(deadline - now);
+                }
+            }
+        }
+        Park::Unparked
     }
 
     fn pending_add(&self) {
@@ -651,18 +801,28 @@ impl<'f, T, M> WorkerCtx<'f, T, M> {
     }
 
     /// Ships `msg` to `target`'s inbox, counting it pending until the
-    /// receiver processes it.
+    /// receiver processes it, and unparks `target` if it is parked.
     pub fn send(&self, target: usize, msg: M) {
         self.fabric.pending_add();
         self.fabric.inboxes[target].lock_recovered().push_back(msg);
+        self.fabric.unpark(target);
     }
 
     /// Queues a never-seen task on this worker's stealable queue
     /// (locality first; stealing rebalances). The backend has already
     /// deduplicated it: each configuration is submitted once per run.
+    /// A queue that now holds [`THIEF_WAKE_DEPTH`] tasks unparks one
+    /// parked thief.
     pub fn submit_fresh(&self, task: T) {
         self.fabric.pending_add();
-        self.fabric.queues[self.id].lock_recovered().push_back(task);
+        let depth = {
+            let mut queue = self.fabric.queues[self.id].lock_recovered();
+            queue.push_back(task);
+            queue.len()
+        };
+        if depth >= THIEF_WAKE_DEPTH {
+            self.fabric.unpark_thief(self.id);
+        }
     }
 
     /// Schedules a wakeup of locally homed task `i` — whether the
@@ -713,10 +873,14 @@ impl<'f, T, M> WorkerCtx<'f, T, M> {
             self.state.trace.steal(stolen.len() as u64);
             let first = stolen.pop_front();
             if !stolen.is_empty() {
-                self.fabric.queues[self.id]
-                    .lock()
-                    .expect("queue lock")
-                    .append(&mut stolen);
+                let depth = {
+                    let mut queue = self.fabric.queues[self.id].lock_recovered();
+                    queue.append(&mut stolen);
+                    queue.len()
+                };
+                if depth >= THIEF_WAKE_DEPTH {
+                    self.fabric.unpark_thief(self.id);
+                }
             }
             self.state.sched.steals += 1;
             return first;
@@ -846,9 +1010,18 @@ pub struct WorkerReport<B> {
 /// The unified worker loop — the one place every scheduling invariant
 /// lives. See the module docs for the protocol; the order of business
 /// each turn is: done flag, inbox (one bounded drain), fresh
-/// work, pinned wakeups, steal, termination check / idle backoff /
-/// stall watchdog; per pop: fault hooks, cadenced cancel + wall-clock +
-/// watermark checks, epoch gate, iteration claim, contained evaluation.
+/// work, pinned wakeups, steal, termination check / stall watchdog;
+/// per pop: fault hooks, cadenced cancel + wall-clock + watermark
+/// checks, epoch gate, iteration claim, contained evaluation.
+///
+/// # Idle turns
+///
+/// The first [`IDLE_YIELDS`] idle turns of an idle stretch each end in
+/// a `yield_now`; every later one parks the worker ([`Fabric::park`])
+/// until another worker gives it work or ends the run. The park times
+/// out after a quarter of [`EngineLimits::stall_timeout`] (never, with
+/// the watchdog off), so an idle worker still runs the stall watchdog;
+/// a park that times out counts one `SchedStats::park_timeouts`.
 ///
 /// # Fault containment
 ///
@@ -873,17 +1046,22 @@ fn run_worker<B: BackendWorker>(
 ) -> WorkerReport<B> {
     seed_worker(&mut backend, &mut ctx);
 
+    let park_timeout = limits
+        .stall_timeout
+        .map(|stall| stall / PARKS_PER_STALL_TIMEOUT);
     let mut idle_streak: u32 = 0;
     loop {
         match worker_turn(&mut backend, &mut ctx, limits, armed, start) {
             Turn::Stopped => break,
             Turn::Worked => idle_streak = 0,
-            Turn::Idle => {
+            Turn::Idle if idle_streak < IDLE_YIELDS => {
                 idle_streak += 1;
-                if idle_streak < 32 {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(Duration::from_micros(50));
+                std::thread::yield_now();
+            }
+            Turn::Idle => {
+                let (fabric, id) = (ctx.fabric, ctx.id);
+                if fabric.park(id, park_timeout, || fabric.has_work(id)) == Park::TimedOut {
+                    ctx.state.sched.park_timeouts += 1;
                 }
             }
         }
@@ -917,8 +1095,9 @@ pub(crate) fn seed_worker<B: BackendWorker>(
 pub(crate) enum Turn {
     /// Delivered messages or took a pop — call again immediately.
     Worked,
-    /// Nothing to do but the run is still pending — back off (or, in a
-    /// pool, yield this tenant's slot) and call again later.
+    /// No message, no pop, and the run is still pending — yield or park
+    /// until someone gives this worker work ([`run_worker`]), or, in a
+    /// pool, yield this tenant's slot, and call again later.
     Idle,
     /// The run is over: quiescent, limit-stopped, or aborted.
     Stopped,
@@ -972,7 +1151,7 @@ pub(crate) fn worker_turn<B: BackendWorker>(
             return Turn::Worked;
         }
         if ctx.fabric.pending.load(Ordering::Acquire) == 0 {
-            ctx.fabric.done.store(true, Ordering::Release);
+            ctx.fabric.raise_done();
             return Turn::Stopped;
         }
         // Publish counters and the idle flag for the stall
@@ -1116,11 +1295,19 @@ pub fn drive_one<B: BackendWorker>(
 }
 
 /// Runs one backend worker per fabric slot to quiescence (or until a
-/// limit fires) and returns their reports. `backends.len()` must equal
-/// [`Fabric::threads`]. A single worker stays on the caller's thread
-/// ([`drive_one`]); N workers run on scoped threads, which is why only
-/// this entry point asks the backend, its tasks and its messages to be
+/// limit fires) and returns their reports, in worker order.
+/// `backends.len()` must equal [`Fabric::threads`]. A single worker
+/// stays on the caller's thread ([`drive_one`]). Of N workers, worker
+/// 0 runs on the caller's thread too and workers 1..N on scoped
+/// threads — one thread start fewer per run — which is why only this
+/// entry point asks the backend, its tasks and its messages to be
 /// `Send`.
+///
+/// Machine panics are contained inside the worker loop, so a worker
+/// that panics out of it has hit a fabric bug. The run (and the
+/// process) survives that too, on worker 0 as on a spawned worker: the
+/// dying worker records [`Status::Aborted`] with config `"<worker>"` at
+/// once, the others drain, and its report is lost.
 pub fn drive<B>(
     fabric: &Fabric<B::Task, B::Msg>,
     mut backends: Vec<B>,
@@ -1147,34 +1334,52 @@ where
     let armed = limits.fault_plan.as_deref().map(ArmedFaultPlan::new);
     let armed = armed.as_ref();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = backends
-            .drain(..)
-            .enumerate()
+        let mut workers = backends.drain(..).enumerate();
+        let (_, first) = workers.next().expect("a multi-worker run");
+        let handles: Vec<_> = workers
             .map(|(id, backend)| {
                 let ctx = fresh_ctx(id, fabric, mode, limits, start);
-                scope.spawn(move || run_worker(backend, ctx, limits, armed, start))
+                scope.spawn(move || run_contained(backend, ctx, limits, armed, start))
             })
             .collect();
-        // Machine panics are contained inside run_worker, so a
-        // worker thread dying here means a fabric bug — still, the
-        // run (and the process) must survive it: record the abort
-        // *immediately* so the remaining workers observe the done
-        // flag and drain instead of spinning on work the dead
-        // worker will never release, then keep joining. The dead
-        // worker's report (its store view, its counters) is lost; the
-        // partial result is assembled from the survivors.
-        let mut reports = Vec::with_capacity(handles.len());
-        for h in handles {
-            match h.join() {
-                Ok(report) => reports.push(report),
-                Err(payload) => fabric.stop(Status::Aborted {
-                    config: "<worker>".to_owned(),
-                    message: panic_message(payload.as_ref()),
-                }),
-            }
-        }
-        reports
+        let ctx = fresh_ctx(0, fabric, mode, limits, start);
+        let first = run_contained(first, ctx, limits, armed, start);
+        let rest = handles.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        });
+        std::iter::once(first).chain(rest).flatten().collect()
     })
+}
+
+/// Runs one worker of a multi-worker run, turning a panic out of the
+/// worker loop into an abort of the run.
+///
+/// Machine panics are contained inside the loop, so a panic that
+/// escapes it is a fabric bug. The run (and the process) must survive
+/// it all the same: the dying worker records [`Status::Aborted`] with
+/// config `"<worker>"` *at once*, on its own thread, so the other
+/// workers see the done flag and drain instead of waiting for work it
+/// will never release. Its report (its store view, its counters) is
+/// lost; the partial result is assembled from the survivors.
+fn run_contained<B: BackendWorker>(
+    backend: B,
+    ctx: WorkerCtx<'_, B::Task, B::Msg>,
+    limits: &EngineLimits,
+    armed: Option<&ArmedFaultPlan>,
+    start: Instant,
+) -> Option<WorkerReport<B>> {
+    let fabric = ctx.fabric;
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_worker(backend, ctx, limits, armed, start)
+    }))
+    .map_err(|payload| {
+        fabric.stop(Status::Aborted {
+            config: "<worker>".to_owned(),
+            message: panic_message(payload.as_ref()),
+        })
+    })
+    .ok()
 }
 
 #[cfg(test)]
@@ -1217,8 +1422,8 @@ mod tests {
 
     /// A worker with no task but a deep inbox is busy until the inbox
     /// is empty: each bounded drain is a worked turn, never an idle
-    /// spin, so the rest of the drain is not left waiting behind an
-    /// idle backoff.
+    /// spin, so the worker never yields or parks while the rest of its
+    /// drain waits in its inbox.
     #[test]
     fn a_turn_that_delivers_messages_is_work() {
         let fabric: Fabric<u32, u32> = Fabric::new(2);
@@ -1238,12 +1443,194 @@ mod tests {
             assert_eq!(turn, Turn::Worked, "turn {turns} delivered messages");
             assert_eq!(ctx.state.sched.idle_spins, 0, "turn {turns}");
         }
-        assert!(turns > 1, "the first drain is bounded, so it takes {turns} turns");
+        assert!(
+            turns > 1,
+            "the first drain is bounded, so it takes {turns} turns"
+        );
         assert_eq!(backend.delivered, (0..sent).collect::<Vec<_>>());
         assert_eq!(
             worker_turn(&mut backend, &mut ctx, &limits, None, start),
             Turn::Stopped,
             "every message delivered: the run is quiescent"
         );
+    }
+
+    /// Spins until `flag` is set — the tests' rendezvous. Bounded, so a
+    /// broken protocol fails the test instead of hanging it.
+    fn await_flag(flag: &AtomicBool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !flag.load(Ordering::Acquire) {
+            assert!(Instant::now() < deadline, "rendezvous timed out");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A fabric with one phantom pending count — an evaluation still in
+    /// flight on worker 1 — so a re-check that finds nothing finds
+    /// nothing because the queues and inboxes are empty, not because
+    /// the run is quiescent.
+    fn busy_fabric() -> Fabric<u32, u32> {
+        let fabric = Fabric::new(2);
+        fabric.pending_add();
+        fabric
+    }
+
+    /// The race a parked set must survive, forced: worker 0 has looked
+    /// at its inbox and found it empty, and only then does a producer
+    /// send it a message and check the parked set — before worker 0
+    /// has marked itself parked. The producer sees no mark and unparks
+    /// no one, so the re-check worker 0 makes after marking itself must
+    /// find the message and decline to sleep. Without that re-check
+    /// the message would wait out the whole park timeout.
+    #[test]
+    fn a_worker_that_parks_after_the_producer_checked_sees_the_work() {
+        let fabric = busy_fabric();
+        let limits = EngineLimits::default();
+        let start = Instant::now();
+        let (looked, sent) = (AtomicBool::new(false), AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            let parker = scope.spawn(|| {
+                assert!(fabric.inboxes[0].lock_recovered().is_empty());
+                looked.store(true, Ordering::Release);
+                await_flag(&sent);
+                fabric.park(0, Some(Duration::from_secs(2)), || fabric.has_work(0))
+            });
+            await_flag(&looked);
+            let producer = fresh_ctx(1, &fabric, EvalMode::SemiNaive, &limits, start);
+            producer.send(0, 7);
+            sent.store(true, Ordering::Release);
+            assert_eq!(parker.join().expect("parker"), Park::Declined);
+        });
+    }
+
+    /// The other order of the same race, forced for every way work or
+    /// the end of a run reaches a worker: worker 0 marks itself parked
+    /// and re-checks, finding nothing, and only then does the producer
+    /// act and check the parked set. The producer must see the mark and
+    /// unpark worker 0, which wakes at once rather than at its timeout.
+    #[test]
+    fn a_producer_that_checks_after_the_mark_unparks_the_worker() {
+        type Produce = fn(&WorkerCtx<'_, u32, u32>);
+        let producers: [(&str, Produce); 4] = [
+            ("a message", |p| p.send(0, 7)),
+            ("a stealable task", |p| {
+                p.submit_fresh(1);
+                p.submit_fresh(2);
+            }),
+            ("a stop", |p| p.fabric.stop(Status::Cancelled)),
+            ("quiescence", |p| p.fabric.raise_done()),
+        ];
+        let limits = EngineLimits::default();
+        for (what, produce) in producers {
+            let fabric = busy_fabric();
+            let start = Instant::now();
+            let (rechecked, produced) = (AtomicBool::new(false), AtomicBool::new(false));
+            std::thread::scope(|scope| {
+                let parker = scope.spawn(|| {
+                    fabric.park(0, Some(Duration::from_secs(2)), || {
+                        let found = fabric.has_work(0);
+                        rechecked.store(true, Ordering::Release);
+                        await_flag(&produced);
+                        found
+                    })
+                });
+                await_flag(&rechecked);
+                produce(&fresh_ctx(1, &fabric, EvalMode::SemiNaive, &limits, start));
+                produced.store(true, Ordering::Release);
+                assert_eq!(parker.join().expect("parker"), Park::Unparked, "{what}");
+            });
+        }
+    }
+
+    /// A lone task is its owner's to pop: queueing it wakes no thief.
+    /// Only the second task in the queue does.
+    #[test]
+    fn a_thief_is_unparked_for_the_second_queued_task() {
+        let fabric = busy_fabric();
+        let limits = EngineLimits::default();
+        let producer = fresh_ctx(1, &fabric, EvalMode::SemiNaive, &limits, Instant::now());
+        let slot = &fabric.parked[0];
+        slot.thread.get_or_init(std::thread::current);
+        slot.parked.store(true, Ordering::SeqCst);
+        producer.submit_fresh(1);
+        assert!(slot.parked.load(Ordering::SeqCst), "one queued task");
+        producer.submit_fresh(2);
+        assert!(!slot.parked.load(Ordering::SeqCst), "two queued tasks");
+    }
+
+    /// A park nobody answers ends at its timeout, and says so.
+    #[test]
+    fn an_unanswered_park_times_out() {
+        let fabric = busy_fabric();
+        let park = fabric.park(0, Some(Duration::from_millis(10)), || fabric.has_work(0));
+        assert_eq!(park, Park::TimedOut);
+        assert!(!fabric.parked[0].parked.load(Ordering::SeqCst));
+    }
+
+    /// A backend whose root task sends one message to the worker it
+    /// names, and whose message handler panics: a panic out of the
+    /// worker loop, i.e. a fabric bug, not a machine panic.
+    struct PanicOnMessage;
+
+    impl BackendWorker for PanicOnMessage {
+        type Task = usize;
+        type Msg = ();
+
+        fn seed(&mut self, _ctx: &mut WorkerCtx<'_, usize, ()>) {}
+
+        fn home(&mut self, target: usize) -> usize {
+            target
+        }
+
+        fn gated(&self, _i: usize) -> bool {
+            false
+        }
+
+        fn evaluate(&mut self, target: usize, ctx: &mut WorkerCtx<'_, usize, ()>) {
+            ctx.send(target, ());
+        }
+
+        fn describe(&self, i: usize) -> String {
+            i.to_string()
+        }
+
+        fn on_msg(&mut self, _msg: (), ctx: &mut WorkerCtx<'_, usize, ()>) {
+            panic!("fabric fault on worker {}", ctx.id());
+        }
+
+        fn enforce_watermark(&mut self, _watermark: usize) {}
+    }
+
+    /// A panic out of the worker loop aborts the run as `"<worker>"` —
+    /// on worker 0, which runs on the caller's thread, exactly as on a
+    /// spawned worker — and the survivors drain promptly instead of
+    /// idling until the stall watchdog fires.
+    #[test]
+    fn a_panic_out_of_the_worker_loop_aborts_the_run() {
+        for target in [0, 1] {
+            let fabric: Fabric<usize, ()> = Fabric::new(2);
+            fabric.submit_root(target);
+            let start = Instant::now();
+            let reports = drive(
+                &fabric,
+                vec![PanicOnMessage, PanicOnMessage],
+                EvalMode::SemiNaive,
+                &EngineLimits::default(),
+                start,
+            );
+            assert_eq!(reports.len(), 1, "worker {target}'s report is lost");
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "worker {target}: the survivor drained late"
+            );
+            let Status::Aborted { config, message } = fabric.finish() else {
+                panic!("worker {target}: expected Aborted");
+            };
+            assert_eq!(config, "<worker>");
+            assert!(
+                message.contains(&format!("fabric fault on worker {target}")),
+                "{message}"
+            );
+        }
     }
 }

@@ -581,8 +581,8 @@ pub struct PhaseProfile {
     pub eval: Duration,
     /// Total over-threshold row-lock wait (sharded backend only).
     pub lock_wait: Duration,
-    /// The busy-span remainder: stealing, inbox drains, idle backoff,
-    /// merge — everything between a lane's first and last event that
+    /// The busy-span remainder: stealing, inbox drains, idle yields
+    /// and parks, merge — everything between a lane's first and last event that
     /// was neither eval nor reported lock wait.
     pub other: Duration,
     /// Evaluations counted (exact even under ring truncation).

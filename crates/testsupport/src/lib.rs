@@ -28,7 +28,7 @@
 
 #![warn(missing_docs)]
 
-use cfa_core::engine::{run_fixpoint_with, EngineLimits, EvalMode};
+use cfa_core::engine::{run_fixpoint_with, EngineLimits, EvalMode, SchedStats};
 use cfa_core::fabric::FaultPlan;
 use cfa_core::flatcfa::{FlatCfaMachine, FlatPolicy};
 use cfa_core::kcfa::KCfaMachine;
@@ -94,6 +94,22 @@ where
     }
 }
 
+/// Asserts that no worker of a completed multi-worker run waited out a
+/// park timeout. Producers unpark the worker their work is for, and
+/// these runs finish far inside one timeout (a quarter of the default
+/// 30 s stall timeout), so a park that ended by its timeout is a lost
+/// wakeup that merely cost time instead of the run.
+///
+/// # Panics
+///
+/// When `sched.park_timeouts` is nonzero (with `label` in the message).
+pub fn assert_no_park_timeout(label: &str, sched: &SchedStats) {
+    assert_eq!(
+        sched.park_timeouts, 0,
+        "{label}: a worker waited out a park timeout (a lost wakeup)"
+    );
+}
+
 /// Runs fresh machine instances through the engine matrix — sequential
 /// and sharded-parallel ([`PAR_THREADS`] workers), each in both
 /// semi-naive and full-re-evaluation mode, plus the retained reference
@@ -139,6 +155,7 @@ where
             s.status.is_complete(),
             "{label}: sharded-parallel {mode:?} engine incomplete"
         );
+        assert_no_park_timeout(&format!("{label}: sharded-parallel {mode:?}"), &s.sched);
         assert_eq!(
             fixpoint_of(&s),
             expected,
@@ -237,6 +254,7 @@ where
         let r = run_fixpoint_with(&mut mk_new(), limits(), mode);
         check(&format!("sequential {mode:?}"), canon_fix(&r));
         let s = run_fixpoint_parallel_on::<Sharded, M>(&mut mk_new(), PAR_THREADS, limits(), mode);
+        assert_no_park_timeout(&format!("{label}: sharded-parallel {mode:?}"), &s.sched);
         check(&format!("sharded-parallel {mode:?}"), canon_fix(&s));
     }
     baseline

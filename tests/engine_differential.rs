@@ -107,6 +107,7 @@ fn assert_metric_sets_agree<M, S>(
     let mut machine = mk();
     let r = run_fixpoint_parallel_on::<Sharded, _>(&mut machine, 2, limits(), EvalMode::SemiNaive);
     assert!(r.status.is_complete(), "{label}: sharded@2");
+    cfa_testsupport::assert_no_park_timeout(&format!("{label}: sharded@2"), &r.sched);
     assert_eq!(sets(&machine), expected, "{label}: sharded@2");
     let run = pool
         .submit::<Replicated, _>(mk(), limits(), EvalMode::SemiNaive)

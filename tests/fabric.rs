@@ -22,13 +22,20 @@
 //! double-delivered or phantom pop breaks it from the left. One-worker
 //! runs never reach the gate (`skipped == 0`): their dependency lists
 //! are exact and their wake queue holds each configuration once.
+//!
+//! Every completed run here also ends with zero park timeouts: an idle
+//! worker parks until another worker gives it work, and these runs end
+//! far inside one park timeout, so a park that timed out is a lost
+//! wakeup.
 
 use cfa::analysis::engine::{AbstractMachine, EngineLimits, EvalMode, Status, TrackedStore};
 use cfa::analysis::parallel::{run_fixpoint_parallel_on, ParallelMachine, Replicated, Sharded};
 use cfa::analysis::pool::{AnalysisPool, PoolConfig};
+use cfa_testsupport::assert_no_park_timeout;
 use cfa_testsupport::rendezvous::{await_flag, Rendezvous};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A feedback machine whose fixpoint needs many cross-config wakeups —
 /// dense scheduling traffic without forced interleavings. Config 4
@@ -72,9 +79,11 @@ impl ParallelMachine for Feedback {
     fn absorb(&mut self, _worker: Self) {}
 }
 
-/// Asserts the fabric counter identity on a completed run.
+/// Asserts the fabric counter identity on a completed run, and that no
+/// worker waited out a park timeout.
 fn assert_sched_identity<C, A, V>(r: &cfa::analysis::engine::FixpointResult<C, A, V>, label: &str) {
     assert_eq!(r.status, Status::Completed, "{label}");
+    assert_no_park_timeout(label, &r.sched);
     assert_eq!(
         r.iterations + r.skipped,
         r.config_count() as u64 + r.wakeups,
@@ -262,6 +271,94 @@ fn stale_cross_worker_wake_dies_at_the_epoch_gate() {
             "{label}: the stale wake must reach the gate"
         );
         assert_eq!(r.store.read(&5), [42u8].into_iter().collect(), "{label}");
+        assert_eq!(r.store.read(&6), [42u8].into_iter().collect(), "{label}");
+    }
+}
+
+/// A two-party machine whose cross-worker growth reaches a *parked*
+/// worker:
+///
+/// * the reader (config 10) waits until the writer has started, so the
+///   two run on different workers, then reads row 5 — still empty —
+///   and finishes. Its worker runs dry and parks: nothing else is
+///   queued anywhere;
+/// * the writer (config 20) waits for the reader to finish, holds its
+///   step open for [`PARKED_FOR`] — far longer than the 16 idle turns a
+///   worker yields before it parks — and then joins 42 into row 5.
+///
+/// Row 5 has one owner. Either the writer's worker owns it and wakes
+/// the reader with a message to the reader's home, or the reader's
+/// worker owns it and the writer's growth notification reaches it as a
+/// message. Either way the message goes to a worker that has been idle
+/// for [`PARKED_FOR`] and so has parked, unless the host starved it of
+/// every turn meanwhile; the reader's re-run there copies row 5 into
+/// row 6. (The forced orders of the parking race are the fabric's unit
+/// tests; this drives the real loop end to end.)
+#[derive(Clone, Default)]
+struct LateGrowth {
+    writer_started: Arc<AtomicBool>,
+    reader_done: Arc<AtomicBool>,
+}
+
+/// How long the writer holds its step open so the reader's worker parks.
+const PARKED_FOR: Duration = Duration::from_millis(50);
+
+impl AbstractMachine for LateGrowth {
+    type Config = u8;
+    type Addr = u8;
+    type Val = u8;
+
+    fn initial(&self) -> u8 {
+        0
+    }
+
+    fn step(&mut self, c: &u8, s: &mut TrackedStore<'_, u8, u8>, out: &mut Vec<u8>) {
+        match *c {
+            0 => out.extend([10, 20]),
+            10 => {
+                await_flag(&self.writer_started);
+                let seen = s.read(&5);
+                s.join_flow(&6, &seen);
+                self.reader_done.store(true, Ordering::Release);
+            }
+            20 => {
+                self.writer_started.store(true, Ordering::Release);
+                await_flag(&self.reader_done);
+                std::thread::sleep(PARKED_FOR);
+                s.join(&5, [42u8]);
+            }
+            _ => {}
+        }
+    }
+}
+
+impl ParallelMachine for LateGrowth {
+    fn fork(&self) -> Self {
+        self.clone()
+    }
+    fn absorb(&mut self, _worker: Self) {}
+}
+
+/// A worker parked with nothing to do is unparked by the message that
+/// gives it work. The stall timeout is cut to 4 s, so a lost wakeup —
+/// the reader's worker sleeping through the message — would end the
+/// park by its 1 s timeout: the run still completes, with a park
+/// timeout that `assert_sched_identity` rejects.
+#[test]
+fn a_parked_worker_wakes_for_a_cross_worker_message() {
+    for round in 0..5 {
+        let limits = EngineLimits {
+            stall_timeout: Some(Duration::from_secs(4)),
+            ..EngineLimits::default()
+        };
+        let r = run_fixpoint_parallel_on::<Sharded, _>(
+            &mut LateGrowth::default(),
+            2,
+            limits,
+            EvalMode::SemiNaive,
+        );
+        let label = format!("round {round}");
+        assert_sched_identity(&r, &label);
         assert_eq!(r.store.read(&6), [42u8].into_iter().collect(), "{label}");
     }
 }
