@@ -28,7 +28,10 @@
 //! * `CFA_ARTIFACT_DIR` — where failure artifacts are written (default
 //!   `target/corpus-diff`).
 //! * The usual engine limits (`CFA_MAX_ITERS`, `CFA_TIME_BUDGET_MS`,
-//!   `CFA_FAULT_PLAN`, …) apply to every engine configuration.
+//!   `CFA_FAULT_PLAN`, …) apply to every engine configuration, and
+//!   `CFA_POOL_THREADS` / `CFA_POOL_QUEUE_DEPTH` size the pool.
+//!
+//! A malformed knob exits 2 with one line naming it, before any work.
 
 use cfa_core::engine::{run_fixpoint_with, EngineLimits, EvalMode, FixpointResult};
 use cfa_core::flatcfa::{FlatCfaMachine, FlatPolicy};
@@ -104,6 +107,7 @@ type EngineOutcome = (Engine, Result<CanonSnapshot, String>, u64);
 /// while the pool churns. The reference outcome comes first.
 fn sweep_engines<M, R, F, G, CF, CR>(
     pool: &AnalysisPool,
+    limits: &EngineLimits,
     mk: F,
     mk_ref: G,
     canon_fix: CF,
@@ -120,7 +124,7 @@ where
     CF: Fn(&FixpointResult<M::Config, M::Addr, M::Val>) -> Result<CanonSnapshot, NotComparable>,
     CR: Fn(&RefFixpointResult<M::Config, M::Addr, M::Val>) -> Result<CanonSnapshot, NotComparable>,
 {
-    let limits = EngineLimits::from_env;
+    let limits = || limits.clone();
     let handles = MODES.map(|mode| {
         (
             Engine::Pooled(mode),
@@ -211,9 +215,27 @@ fn write_artifact(
     dir
 }
 
+/// The engine limits, the pool sizing and the corpus selection the
+/// environment asks for. The error names the malformed variable and
+/// its text.
+fn knobs() -> Result<(EngineLimits, PoolConfig, CorpusSelection), String> {
+    Ok((
+        EngineLimits::try_from_env()?,
+        PoolConfig::try_from_env()?,
+        CorpusSelection::try_from_env()?,
+    ))
+}
+
 fn main() -> ExitCode {
     quiet_injected_panics();
-    let pool = AnalysisPool::new(PoolConfig::from_env());
+    let (limits, pool_config, selection) = match knobs() {
+        Ok(knobs) => knobs,
+        Err(e) => {
+            eprintln!("corpus_diff: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let pool = AnalysisPool::new(pool_config);
     let artifact_root = PathBuf::from(
         std::env::var("CFA_ARTIFACT_DIR").unwrap_or_else(|_| "target/corpus-diff".to_owned()),
     );
@@ -223,7 +245,7 @@ fn main() -> ExitCode {
         Analysis::PolyKCfa { k: 1 },
     ];
 
-    let programs = CorpusSelection::from_env().programs();
+    let programs = selection.programs();
     let mut comparisons = 0usize;
     let mut divergences = 0usize;
     let mut not_comparable = 0usize;
@@ -242,6 +264,7 @@ fn main() -> ExitCode {
             let outcomes = match analysis {
                 Analysis::KCfa { k } => sweep_engines(
                     &pool,
+                    &limits,
                     || KCfaMachine::new_owned(Arc::clone(&compiled), k),
                     || KCfaMachine::new_owned(Arc::clone(&compiled), k),
                     |r| cfa_core::canon_kcfa(&compiled, k, r),
@@ -249,6 +272,7 @@ fn main() -> ExitCode {
                 ),
                 Analysis::MCfa { m } => sweep_engines(
                     &pool,
+                    &limits,
                     || FlatCfaMachine::new_owned(Arc::clone(&compiled), m, FlatPolicy::TopMFrames),
                     || FlatCfaMachine::new_owned(Arc::clone(&compiled), m, FlatPolicy::TopMFrames),
                     |r| cfa_core::canon_mcfa(&compiled, m, r),
@@ -256,6 +280,7 @@ fn main() -> ExitCode {
                 ),
                 Analysis::PolyKCfa { k } => sweep_engines(
                     &pool,
+                    &limits,
                     || FlatCfaMachine::new_owned(Arc::clone(&compiled), k, FlatPolicy::LastKCalls),
                     || FlatCfaMachine::new_owned(Arc::clone(&compiled), k, FlatPolicy::LastKCalls),
                     |r| cfa_core::canon_poly_kcfa(&compiled, k, r),

@@ -24,7 +24,8 @@
 //! Results are merged into `BENCH_engine.json` under a top-level
 //! `"throughput"` key (replacing a previous throughput section,
 //! preserving `engine_bench`'s cells). The pool is sized by
-//! `CFA_POOL_THREADS` / `CFA_POOL_QUEUE_DEPTH`.
+//! `CFA_POOL_THREADS` / `CFA_POOL_QUEUE_DEPTH`. A malformed knob exits
+//! 2 with one line naming it, before any work.
 //!
 //! Usage: `cargo run -p cfa-bench --release --bin throughput_bench`
 //! (merges into BENCH_engine.json in the current directory).
@@ -36,6 +37,7 @@ use cfa_core::pool::{AnalysisPool, PoolConfig};
 use cfa_syntax::cps::CpsProgram;
 use cfa_testsupport::fixpoint_of;
 use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -86,9 +88,10 @@ fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
     sorted[idx] * 1e3
 }
 
-/// Pushes `repeats` copies of the corpus through one pool and checks
-/// every pooled fixpoint against its solo baseline.
+/// Pushes `repeats` copies of the corpus through one pool sized by
+/// `config` and checks every pooled fixpoint against its solo baseline.
 fn run_batch(
+    config: &PoolConfig,
     programs: &[(String, Arc<CpsProgram>)],
     baselines: &[cfa_testsupport::Fixpoint<
         cfa_core::kcfa::KConfig,
@@ -97,7 +100,7 @@ fn run_batch(
     >],
     repeats: usize,
 ) -> ThroughputRow {
-    let pool = AnalysisPool::new(PoolConfig::from_env());
+    let pool = AnalysisPool::new(config.clone());
     let start = Instant::now();
     let jobs: Vec<(usize, KcfaJob)> = (0..repeats)
         .flat_map(|_| {
@@ -185,18 +188,34 @@ fn merge_into_bench_json(section: &str) {
     eprintln!("merged throughput table into BENCH_engine.json");
 }
 
-fn main() {
-    let repeats: usize = std::env::var("CFA_THROUGHPUT_REPEATS")
-        .ok()
-        .map_or(3, |v| v.parse().expect("CFA_THROUGHPUT_REPEATS: a number"));
-    let config = PoolConfig::from_env();
+/// The batch shape the environment asks for: `CFA_THROUGHPUT_REPEATS`
+/// (default 3) and the pool sizing. The error names the malformed
+/// variable and its text.
+fn knobs() -> Result<(usize, PoolConfig), String> {
+    let repeats = match std::env::var("CFA_THROUGHPUT_REPEATS") {
+        Ok(v) => v
+            .parse()
+            .map_err(|e| format!("CFA_THROUGHPUT_REPEATS={v:?}: {e}"))?,
+        Err(_) => 3,
+    };
+    Ok((repeats, PoolConfig::try_from_env()?))
+}
+
+fn main() -> ExitCode {
+    let (repeats, config) = match knobs() {
+        Ok(knobs) => knobs,
+        Err(e) => {
+            eprintln!("throughput_bench: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let programs = corpus();
     let baselines: Vec<_> = programs
         .iter()
         .map(|(_, p)| fixpoint_of(&analyze_kcfa(p, 1, EngineLimits::default()).fixpoint))
         .collect();
 
-    let r = run_batch(&programs, &baselines, repeats);
+    let r = run_batch(&config, &programs, &baselines, repeats);
 
     println!(
         "{:>5} {:>9} {:>12} | {:>9} {:>9} {:>9} | {:>10} {:>10}",
@@ -271,4 +290,5 @@ fn main() {
     );
     section.push_str("  }");
     merge_into_bench_json(&section);
+    ExitCode::SUCCESS
 }

@@ -36,26 +36,25 @@ pub struct CorpusProgram {
     pub replay: Option<CorpusSelection>,
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
+/// Reads the numeric variable `name`: `default` when it is unset, and
+/// an error naming the variable and its text when it is not a number.
+fn env_u64(name: &str, default: u64) -> Result<u64, String> {
     match std::env::var(name) {
-        Ok(v) => v.parse().unwrap_or_else(|e| panic!("{name}={v:?}: {e}")),
-        Err(_) => default,
+        Ok(v) => v.parse().map_err(|e| format!("{name}={v:?}: {e}")),
+        Err(_) => Ok(default),
     }
 }
 
 impl CorpusSelection {
     /// The selection the environment asks for: `CFA_CORPUS_SIZE`,
-    /// `CFA_CORPUS_SEED` and `CFA_CORPUS_ONLY`.
-    ///
-    /// # Panics
-    ///
-    /// On a non-numeric size or seed.
-    pub fn from_env() -> Self {
-        CorpusSelection {
-            size: env_u64("CFA_CORPUS_SIZE", 16),
-            seed_base: env_u64("CFA_CORPUS_SEED", 0),
+    /// `CFA_CORPUS_SEED` and `CFA_CORPUS_ONLY`. A non-numeric size or
+    /// seed is an error naming the variable and its text.
+    pub fn try_from_env() -> Result<Self, String> {
+        Ok(CorpusSelection {
+            size: env_u64("CFA_CORPUS_SIZE", 16)?,
+            seed_base: env_u64("CFA_CORPUS_SEED", 0)?,
             only: std::env::var("CFA_CORPUS_ONLY").ok(),
-        }
+        })
     }
 
     /// The selected programs: every workloads-suite program, the
