@@ -693,9 +693,9 @@ pub struct SchedStats {
     /// Idle turns: worker turns that found no task, no message and
     /// nothing to steal while the run was still pending. On a run
     /// that owns its threads each is followed by a `yield_now` (the
-    /// first [`crate::fabric::IDLE_YIELDS`] of an idle stretch) or a
-    /// park until another worker gives this one work; a pool tenant
-    /// hands its pool thread back instead.
+    /// first 16 of an idle stretch) or a park until another worker
+    /// gives this one work; a pool tenant hands its pool thread back
+    /// instead.
     pub idle_spins: u64,
     /// Parks that ended by their timeout (a quarter of
     /// [`EngineLimits::stall_timeout`]) rather than by an unpark. A

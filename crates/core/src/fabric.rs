@@ -41,21 +41,20 @@
 //! * **the iteration budget** — a global evaluation counter claimed
 //!   before each step;
 //! * **parking: who unparks whom** — a worker that has run dry yields
-//!   for [`IDLE_YIELDS`] idle turns, then marks itself in the fabric's
-//!   parked set, re-checks the fresh queues, its inbox, `pending` and
-//!   the done flag, and only then parks. Whoever creates work unparks
-//!   the worker it is for: [`WorkerCtx::send`] unparks its target
-//!   (remote wakes travel as messages); a push that leaves a fresh
-//!   queue holding at least [`THIEF_WAKE_DEPTH`] tasks unparks one
-//!   parked thief (the owner pops the first task itself); a stop or
-//!   quiescence unparks every worker. A parked worker's own fresh and
-//!   wake queues are empty — only it pushes to them — so no other work
-//!   can be waiting for it. A producer checks the parked set *after*
-//!   publishing its work and a parker re-checks for work *after*
-//!   marking itself, so at least one of them sees the other: no wakeup
-//!   is lost. A park times out after a quarter of the stall timeout, so
-//!   the stall watchdog still runs; `SchedStats::park_timeouts` counts
-//!   the parks that ended that way;
+//!   for 16 idle turns, then marks itself in the fabric's parked set,
+//!   re-checks the fresh queues, its inbox, `pending` and the done
+//!   flag, and only then parks. Whoever creates work unparks the
+//!   worker it is for: [`WorkerCtx::send`] unparks its target (remote
+//!   wakes travel as messages); a push that leaves a fresh queue
+//!   holding at least two tasks unparks one parked thief (the owner
+//!   pops the first task itself); a stop or quiescence unparks every
+//!   worker. A parked worker's own fresh and wake queues are empty —
+//!   only it pushes to them — so no other work can be waiting for it.
+//!   A producer checks the parked set *after* publishing its work and a
+//!   parker re-checks for work *after* marking itself, so at least one
+//!   of them sees the other: no wakeup is lost. A park times out after
+//!   a quarter of the stall timeout, so the stall watchdog still runs;
+//!   `SchedStats::park_timeouts` counts the parks that ended that way;
 //! * the stall watchdog, the armed fault plan, the per-worker telemetry
 //!   ring, and the [`SchedStats`] accounting for all of the above;
 //! * **adaptive inbox drains** — each drain takes a bounded batch sized
@@ -125,12 +124,12 @@ const MAX_DRAIN_BATCH: usize = 512;
 /// Idle turns a worker spends yielding before it parks. A short spin
 /// keeps a worker that is about to receive work off the park/unpark
 /// path, whose two system calls cost more than a few yields.
-pub const IDLE_YIELDS: u32 = 16;
+const IDLE_YIELDS: u32 = 16;
 
 /// A push that leaves a fresh queue at least this deep unparks one
 /// parked thief: the queue's owner pops the first task itself, so a
 /// thief woken for a lone task would most often find nothing to steal.
-pub const THIEF_WAKE_DEPTH: usize = 2;
+const THIEF_WAKE_DEPTH: usize = 2;
 
 /// Parks per stall timeout: a parked worker wakes after a quarter of
 /// [`EngineLimits::stall_timeout`] to run the watchdog, so a stall is
@@ -811,8 +810,7 @@ impl<'f, T, M> WorkerCtx<'f, T, M> {
     /// Queues a never-seen task on this worker's stealable queue
     /// (locality first; stealing rebalances). The backend has already
     /// deduplicated it: each configuration is submitted once per run.
-    /// A queue that now holds [`THIEF_WAKE_DEPTH`] tasks unparks one
-    /// parked thief.
+    /// A queue that now holds two tasks unparks one parked thief.
     pub fn submit_fresh(&self, task: T) {
         self.fabric.pending_add();
         let depth = {
