@@ -1275,7 +1275,10 @@ fn fresh_ctx<'f, T, M>(
 /// limit fires) on the caller's thread — how the sequential engine
 /// ([`crate::engine::run_fixpoint`]) runs: deterministic, no spawn
 /// cost, and nothing crosses a thread, so the backend need not be
-/// `Send`.
+/// `Send`. A lone worker has no one to wait for: it goes idle with
+/// work pending only when the termination protocol is broken, and then
+/// parks on the stall watchdog's timeout until the watchdog aborts the
+/// run.
 pub fn drive_one<B: BackendWorker>(
     fabric: &Fabric<B::Task, B::Msg>,
     backend: B,
